@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify bench loadtest loadtest-cluster
+.PHONY: build test race vet fmt verify bench
 
 build:
 	$(GO) build ./...
@@ -18,51 +18,12 @@ fmt:
 	gofmt -l -w .
 
 # verify is the full pre-merge gate: build + vet + tests + race tests +
-# gofmt cleanliness.
+# the benchmark harness's tests and smoke + gofmt cleanliness.
 verify:
 	sh scripts/verify.sh
 
-# bench runs every benchmark — including the sharded commit pipeline's
-# CommitParallel scaling curve, the WAL append and striped-read
-# benchmarks in internal/store, the replication throughput/lag
-# benchmarks in internal/replication, and the streaming-vs-materialize
-# world generation pair — and writes a machine-readable report to
-# BENCH_PR10.json (human output still streams to the terminal). The
-# root package's experiment benchmarks each run one full simulated
-# experiment, and the world-scale benchmarks generate up to a million
-# users per iteration, so both get -benchtime 1x; the internal
-# micro-benchmarks use the default sampling so ns/op figures are
-# meaningful.
+# bench runs the repository's benchmark (bench/, declared in
+# BENCHMARK.json) against real rspd processes; see bench/README.md for
+# its flags, e.g. `sh bench/run.sh --workload browse --seed 1`.
 bench:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . && \
-	  $(GO) test -run '^$$' -bench . -benchmem -skip 'BenchmarkCommitParallel|BenchmarkWorldStream|BenchmarkWorldMaterialize' ./internal/... && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkCommitParallel$$' -benchmem -benchtime 4s ./internal/store && \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkWorldStream|BenchmarkWorldMaterialize)$$' -benchmem -benchtime 1x ./internal/world ; } \
-	  | $(GO) run ./cmd/benchjson -out BENCH_PR10.json
-
-# loadtest drives the serving path end to end: a self-hosted rspd on
-# loopback, hit by a closed-loop mixed workload (cmd/loadgen) once with
-# the read cache off and once with it on, so the report shows what
-# commit-invalidated response caching buys at the wire. Per-route
-# p50/p99/p999, throughput, error/shed rates, and the cache hit ratio
-# land in BENCH_PR8.json.
-loadtest:
-	{ $(GO) run ./cmd/loadgen -selfhost -readcache=false -label cache=off \
-	    -workers 16 -duration 10s -scale 0.02 && \
-	  $(GO) run ./cmd/loadgen -selfhost -readcache=true -label cache=on \
-	    -workers 16 -duration 10s -scale 0.02 ; } \
-	  | $(GO) run ./cmd/benchjson -out BENCH_PR8.json
-
-# loadtest-cluster compares one node against a 3-partition in-process
-# ring on the same mixed workload: same catalog, same worker count, the
-# cluster paying for ownership gating, scatter-gather coordination, and
-# per-entity routing. On multi-core hardware each partition gets its
-# own cores and aggregate throughput scales with the ring; on a shared
-# CPU budget the report quantifies the coordination tax instead. Both
-# runs land in BENCH_PR9.json.
-loadtest-cluster:
-	{ $(GO) run ./cmd/loadgen -selfhost -label nodes=1 \
-	    -workers 16 -duration 10s -scale 0.02 && \
-	  $(GO) run ./cmd/loadgen -selfhost -cluster-nodes 3 -label nodes=3 \
-	    -workers 16 -duration 10s -scale 0.02 ; } \
-	  | $(GO) run ./cmd/benchjson -out BENCH_PR9.json
+	sh bench/run.sh

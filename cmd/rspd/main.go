@@ -36,7 +36,6 @@ import (
 	"opinions/internal/obs"
 	"opinions/internal/replication"
 	"opinions/internal/rspserver"
-	"opinions/internal/storage"
 	"opinions/internal/store"
 	"opinions/internal/world"
 )
@@ -50,11 +49,9 @@ func main() {
 		seed        = flag.Int64("seed", 1, "world seed")
 		users       = flag.Int("users", 400, "city users (city world only)")
 		keyBits     = flag.Int("keybits", 2048, "blind-signature RSA key size")
-		dataPath    = flag.String("data", "", "snapshot file: loaded on start, saved on shutdown and every -save-every (mutually exclusive with -wal-dir)")
 		walDir      = flag.String("wal-dir", "", "durability directory: write-ahead log + snapshot; every mutation is fsynced before it is acknowledged, and recovery on boot replays the log tail")
 		compactEvr  = flag.Int("compact-every", 0, "fold the WAL into a snapshot every N records (with -wal-dir; 0 = default 4096, negative disables auto-compaction)")
 		commStripes = flag.Int("commit-stripes", 0, "commit pipeline stripes: per-stripe WAL segments, sequence spaces, and group-commit syncers (with -wal-dir; 0 = match the read stripes)")
-		saveEvr     = flag.Duration("save-every", 5*time.Minute, "periodic snapshot interval (with -data) or compaction interval (with -wal-dir)")
 		epsilon     = flag.Float64("privacy-epsilon", 0, "when >0, release inference aggregates with ε-differential privacy")
 		rateLim     = flag.Int("rate-limit", 600, "per-host HTTP requests per minute (0 disables)")
 		quiet       = flag.Bool("quiet", false, "disable per-request logging")
@@ -104,11 +101,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *dataPath != "" && *walDir != "" {
-		fmt.Fprintln(os.Stderr, "-data and -wal-dir are mutually exclusive: the WAL directory owns its own snapshot")
-		os.Exit(2)
-	}
-
 	// Cluster mode: load the ring, keep only this partition's slice of
 	// the (deterministically shared) catalog. Every node builds the same
 	// full catalog from the same seed, so the partitions' slices union
@@ -151,17 +143,6 @@ func main() {
 	repo, err := core.Open(core.Config{Catalog: catalog, KeyBits: *keyBits, Zips: zips, PrivacyEpsilon: *epsilon, Store: st})
 	if err != nil {
 		fatal("opening repository", "err", err)
-	}
-
-	if *dataPath != "" {
-		if snap, err := storage.LoadFile(*dataPath); err == nil {
-			if err := repo.Server().RestoreSnapshot(snap); err != nil {
-				fatal("restoring snapshot", "path", *dataPath, "err", err)
-			}
-			logger.Info("restored snapshot", "path", *dataPath, "saved_at", snap.SavedAt.Format(time.RFC3339))
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fatal("loading snapshot", "path", *dataPath, "err", err)
-		}
 	}
 
 	// Replication. The leader streams every WAL commit to followers over
@@ -350,64 +331,41 @@ func main() {
 		}()
 	}
 
-	save := func(reason string) {
-		switch {
-		case st != nil:
-			// WAL mode: a "save" is a compaction — fold the log into the
-			// store's own snapshot and drop the superseded segments.
-			if err := st.Compact(); err != nil {
-				logger.Error("compaction failed", "reason", reason, "err", err)
-				return
-			}
-			logger.Info("wal compacted", "dir", *walDir, "reason", reason)
-		case *dataPath != "":
-			if err := storage.SaveFile(*dataPath, repo.Server().Snapshot()); err != nil {
-				logger.Error("snapshot failed", "reason", reason, "err", err)
-				return
-			}
-			logger.Info("snapshot saved", "path", *dataPath, "reason", reason)
-		}
-	}
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(*saveEvr)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				save("periodic")
-			case <-stop:
-				// Drain in-flight requests BEFORE the final snapshot:
-				// an upload accepted during the drain must be in the
-				// snapshot, or a restart silently loses it.
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := srv.Shutdown(ctx); err != nil {
-					logger.Error("shutdown", "err", err)
-				}
-				// Stop replication before the final save: the follower's
-				// tail loop and the leader's sessions must not race the
-				// compaction or the store close.
-				if follower != nil {
-					follower.Close()
-				}
-				repMu.Lock()
-				if repLeader != nil {
-					repLeader.Close()
-				}
-				repMu.Unlock()
-				save("shutdown")
-				if st != nil {
-					if err := st.Close(); err != nil {
-						logger.Error("closing durable store", "err", err)
-					}
-				}
-				return
-			}
+		<-stop
+		// Drain in-flight requests BEFORE the final compaction, so the
+		// snapshot it writes covers every acknowledged mutation and the
+		// next boot replays no log tail.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			logger.Error("shutdown", "err", err)
+		}
+		// Stop replication before the final compaction: the follower's
+		// tail loop and the leader's sessions must not race the
+		// compaction or the store close.
+		if follower != nil {
+			follower.Close()
+		}
+		repMu.Lock()
+		if repLeader != nil {
+			repLeader.Close()
+		}
+		repMu.Unlock()
+		if st == nil {
+			return
+		}
+		if err := st.Compact(); err != nil {
+			logger.Error("compaction failed", "reason", "shutdown", "err", err)
+		} else {
+			logger.Info("wal compacted", "dir", *walDir, "reason", "shutdown")
+		}
+		if err := st.Close(); err != nil {
+			logger.Error("closing durable store", "err", err)
 		}
 	}()
 

@@ -100,7 +100,7 @@ func main() {
 }
 
 // shardManifest describes a shard emission so downstream consumers
-// (agents, loadgen) can re-derive the exact same world.
+// (agents) can re-derive the exact same world.
 type shardManifest struct {
 	Seed     int64 `json:"seed"`
 	Users    int   `json:"users"`

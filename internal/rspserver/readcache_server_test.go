@@ -21,9 +21,6 @@ import (
 func TestEntityCacheHitAndInvalidateOnReview(t *testing.T) {
 	srv, ts := testServer(t)
 	cache := srv.ReadCache()
-	if cache == nil {
-		t.Fatal("read cache disabled by default")
-	}
 
 	var first WireResult
 	if resp := getJSON(t, ts.URL+"/api/entity?key=yelp/a", &first); resp.StatusCode != 200 {
@@ -87,24 +84,6 @@ func TestDirectoryCacheKnownKindsOnly(t *testing.T) {
 	}
 	if cache.Len() != before {
 		t.Fatalf("unknown service kinds grew the cache: %d -> %d", before, cache.Len())
-	}
-}
-
-// With DisableReadCache nothing is cached and reads still work.
-func TestDisableReadCache(t *testing.T) {
-	catalog := []*world.Entity{{ID: "a", Service: world.Yelp, Zip: "48104", Category: "chinese", Name: "Golden Wok", Quality: 4}}
-	srv, err := New(Config{Catalog: catalog, Clock: simclock.NewSim(simclock.Epoch), KeyBits: 1024, DisableReadCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	if srv.ReadCache() != nil {
-		t.Fatal("cache present despite DisableReadCache")
-	}
-	var one WireResult
-	if resp := getJSON(t, ts.URL+"/api/entity?key=yelp/a", &one); resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
 	}
 }
 

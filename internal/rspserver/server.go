@@ -81,13 +81,8 @@ type Config struct {
 	// Store, when non-nil, is the durable state layer every mutation
 	// commits through — typically store.Open with a WAL directory, after
 	// recovery. Nil builds a memory-only store: same commit interface,
-	// no log (tests, simulations, and the legacy -data snapshot mode).
+	// no log (tests and simulations).
 	Store *store.Store
-	// DisableReadCache turns off the pre-encoded read-response cache
-	// (internal/readcache). The cache is on by default; disabling it is
-	// for uncached baselines in benchmarks and for tests that assert on
-	// recomputation.
-	DisableReadCache bool
 }
 
 // Server implements the RSP. Construct with New.
@@ -109,9 +104,9 @@ type Server struct {
 	st       *store.Store
 
 	// cache holds pre-encoded entity/directory responses, invalidated
-	// by the store's commit hook; nil when disabled. dirKinds is the
-	// closed set of cacheable directory filters — attacker-chosen
-	// service strings must not mint unbounded cache keys.
+	// by the store's commit hook. dirKinds is the closed set of
+	// cacheable directory filters — attacker-chosen service strings
+	// must not mint unbounded cache keys.
 	cache    *readcache.Cache
 	dirKinds map[string]bool
 
@@ -166,20 +161,18 @@ func New(cfg Config) (*Server, error) {
 		s.dpMech = dp.New(cfg.PrivacyEpsilon, stats.NewRNG(seed))
 	}
 	s.meta = buildMeta(cfg.Catalog, cfg.Zips)
-	if !cfg.DisableReadCache {
-		s.cache = readcache.New()
-		s.dirKinds = map[string]bool{"": true}
-		for _, e := range cfg.Catalog {
-			s.dirKinds[string(e.Service)] = true
-		}
-		st.SetCommitHook(s.invalidateOnCommit)
-		// Restores jump timelines, so per-entity invalidation cannot
-		// bound what changed. Hooking the store (rather than flushing in
-		// RestoreSnapshot) covers every Restore caller — including a
-		// replication follower seeding from a leader snapshot, which
-		// never goes through the server.
-		st.SetRestoreHook(s.cache.Reset)
+	s.cache = readcache.New()
+	s.dirKinds = map[string]bool{"": true}
+	for _, e := range cfg.Catalog {
+		s.dirKinds[string(e.Service)] = true
 	}
+	st.SetCommitHook(s.invalidateOnCommit)
+	// Restores jump timelines, so per-entity invalidation cannot bound
+	// what changed. Hooking the store (rather than flushing in
+	// RestoreSnapshot) covers every Restore caller — including a
+	// replication follower seeding from a leader snapshot, which never
+	// goes through the server.
+	st.SetRestoreHook(s.cache.Reset)
 	return s, nil
 }
 
@@ -209,8 +202,7 @@ func (s *Server) invalidateOnCommit(rec *store.Record) {
 	}
 }
 
-// ReadCache exposes the response cache for introspection (tests,
-// cmd/loadgen's self-hosted mode); nil when disabled.
+// ReadCache exposes the response cache for introspection (tests).
 func (s *Server) ReadCache() *readcache.Cache { return s.cache }
 
 // entityCache returns the cache for the entity-describe route, or nil
@@ -604,7 +596,7 @@ func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
 	// Only known service kinds (and the unfiltered listing) are
 	// cacheable: arbitrary ?service= strings must not mint cache keys.
 	var gen uint64
-	cached := s.cache != nil && s.dirKinds[svc]
+	cached := s.dirKinds[svc]
 	if cached {
 		body, g, ok := s.cache.Get(cacheNSDirectory, svc)
 		if ok {

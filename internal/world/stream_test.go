@@ -174,44 +174,3 @@ func TestShardAlignment(t *testing.T) {
 		}
 	}
 }
-
-func TestReviewTextDeterministicAndPersonaShaped(t *testing.T) {
-	c := OpenCity(CityConfig{Seed: 4, NumUsers: 100})
-	u := c.UserAt(0)
-	key := c.Entities[0].Key()
-	a := ReviewText(u, key, 4.5)
-	b := ReviewText(u, key, 4.5)
-	if a != b {
-		t.Fatal("ReviewText not deterministic")
-	}
-	if a == "" {
-		t.Fatal("empty review text")
-	}
-	if ReviewText(u, c.Entities[1].Key(), 4.5) == a && ReviewText(u, c.Entities[2].Key(), 4.5) == a {
-		t.Fatal("review text ignores entity")
-	}
-	// Heavy contributors write longer reviews than lurkers.
-	heavy, lurker := *u, *u
-	heavy.Class = HeavyContributor
-	lurker.Class = Lurker
-	if len(ReviewText(&heavy, key, 4.5)) <= len(ReviewText(&lurker, key, 4.5)) {
-		t.Fatal("heavy contributor review not longer than lurker's")
-	}
-	// Sentiment follows the rating bucket.
-	if ReviewText(&heavy, key, 1.0) == ReviewText(&heavy, key, 5.0) {
-		t.Fatal("rating does not shape text")
-	}
-}
-
-func TestOpinionOfKeyMatchesTrueOpinion(t *testing.T) {
-	c := OpenCity(CityConfig{Seed: 6, NumUsers: 10})
-	u := c.UserAt(3)
-	for _, e := range c.Entities[:20] {
-		if u.TrueOpinion(e) != u.OpinionOfKey(e.Key(), e.Quality) {
-			t.Fatal("OpinionOfKey diverges from TrueOpinion")
-		}
-		if r := u.ExplicitRatingFor(e.Key(), e.Quality); r != u.ExplicitRating(e) {
-			t.Fatal("ExplicitRatingFor diverges from ExplicitRating")
-		}
-	}
-}

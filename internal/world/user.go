@@ -88,16 +88,7 @@ type User struct {
 // quality plus a stable personal offset. Only the simulator and the
 // experiment scorers may call this; no system component does.
 func (u *User) TrueOpinion(e *Entity) float64 {
-	return u.OpinionOfKey(e.Key(), e.Quality)
-}
-
-// OpinionOfKey is TrueOpinion for callers that hold only an entity key
-// and a latent-quality baseline — the streaming load generator draws
-// persona-consistent ratings for directory entities this way, without
-// materializing Entity structs for a population it is only passing
-// through.
-func (u *User) OpinionOfKey(key string, quality float64) float64 {
-	h := sha256.Sum256([]byte(string(u.ID) + "|" + key))
+	h := sha256.Sum256([]byte(string(u.ID) + "|" + e.Key()))
 	bits := binary.BigEndian.Uint64(h[:8]) ^ u.tasteSeed
 	// Map to a personal offset in roughly N(0, 0.55) via sum of uniforms.
 	var s float64
@@ -105,7 +96,7 @@ func (u *User) OpinionOfKey(key string, quality float64) float64 {
 		s += float64((bits>>(i*16))&0xffff)/65535.0 - 0.5
 	}
 	offset := s * 0.95 // sd of sum of 4 uniforms is ~0.577; scale to ~0.55
-	return clamp(quality+offset, 0, 5)
+	return clamp(e.Quality+offset, 0, 5)
 }
 
 // WouldRecommend reports whether the user's true opinion of e clears the
@@ -125,17 +116,7 @@ func (u *User) utility(e *Entity, distMeters float64) float64 {
 // the true opinion quantized to half stars with slight positivity bias,
 // matching how public ratings skew high.
 func (u *User) ExplicitRating(e *Entity) float64 {
-	return quantizeRating(u.TrueOpinion(e))
-}
-
-// ExplicitRatingFor is ExplicitRating over a bare entity key, with the
-// same half-star quantization and positivity bias, for key-only callers.
-func (u *User) ExplicitRatingFor(key string, quality float64) float64 {
-	return quantizeRating(u.OpinionOfKey(key, quality))
-}
-
-func quantizeRating(op float64) float64 {
-	r := op + 0.25
+	r := u.TrueOpinion(e) + 0.25
 	r = math.Round(r*2) / 2
 	return clamp(r, 0, 5)
 }

@@ -23,18 +23,15 @@ go test -shuffle=on ./...
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "==> bench harness tests (no servers spawned)"
-go test -C bench -run 'Schedule|Preload|Spec|Spread|Compare' .
+# TestSmoke drives all four workloads traced against spawned rspd
+# children (ring3 is three -cluster-config processes) plus an untraced
+# contribute that ends in kill -9, and fails on any failed op or
+# output check.
+echo "==> bench harness tests + smoke (real rspd children, all workloads)"
+go test -C bench .
 
-echo "==> bench smoke (commit pipeline, 1 iteration)"
+echo "==> commit-pipeline benchmark smoke (1 iteration)"
 go test -run '^$' -bench=Commit -benchtime=1x ./internal/store/...
-
-echo "==> loadgen smoke (selfhost, 2s, nonzero throughput, zero 5xx)"
-go run ./cmd/loadgen -selfhost -duration 2s -workers 8 -scale 0.01 \
-    -label smoke -assert-min-rps 50 -assert-no-5xx > /dev/null
-
-echo "==> cluster smoke (3 rspd nodes behind a ring, loadgen -cluster)"
-sh scripts/cluster_smoke.sh
 
 echo "==> streaming smoke (100k-user world: shards -> rspd -> agent cohort, heap-gated)"
 sh scripts/streaming_smoke.sh
