@@ -132,7 +132,7 @@ func TestClusterKillOneLeaderSoak(t *testing.T) {
 	})
 	defer fol.Close()
 
-	gatherOpts := rspserver.GatherOptions{Timeout: 250 * time.Millisecond, CacheTTL: -1}
+	gatherOpts := rspserver.GatherOptions{Timeout: 250 * time.Millisecond}
 	newNode := func(p int, st *store.Store) *rspserver.Server {
 		cfg := rspserver.Config{
 			Catalog: rspserver.FilterCatalog(ring, p, catalog),

@@ -193,6 +193,7 @@ func TestUploadThroughOnionToRSP(t *testing.T) {
 		AnonID: "anon-onion", Entity: "yelp/a",
 		Record: &rspserver.WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 1800, DistanceM: 700},
 		Token:  tok,
+		Key:    "onion-key-1",
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {

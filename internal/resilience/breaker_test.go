@@ -3,7 +3,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,59 +106,5 @@ func TestBreakerDo(t *testing.T) {
 	}
 	if b.State() != Closed {
 		t.Fatal("did not close after successful probe")
-	}
-}
-
-func TestHedgeFirstWins(t *testing.T) {
-	calls := 0
-	v, err := Hedge(context.Background(), time.Hour, func(context.Context) (int, error) {
-		calls++
-		return 7, nil
-	})
-	if err != nil || v != 7 {
-		t.Fatalf("got (%d, %v)", v, err)
-	}
-	if calls != 1 {
-		t.Fatalf("hedged a fast call: %d launches", calls)
-	}
-}
-
-func TestHedgeLaunchesSecondCopy(t *testing.T) {
-	release := make(chan struct{})
-	launches := make(chan int, 2)
-	var n atomic.Int32
-	v, err := Hedge(context.Background(), time.Millisecond, func(ctx context.Context) (int, error) {
-		id := int(n.Add(1))
-		launches <- id
-		if id == 1 {
-			// The first copy hangs until the test ends.
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
-			return 0, ctx.Err()
-		}
-		return 42, nil
-	})
-	close(release)
-	if err != nil || v != 42 {
-		t.Fatalf("got (%d, %v)", v, err)
-	}
-	if len(launches) != 2 {
-		t.Fatalf("launches = %d, want 2", len(launches))
-	}
-}
-
-func TestHedgeSingleFailureReturnsWithoutHedging(t *testing.T) {
-	boom := errors.New("nope")
-	start := time.Now()
-	_, err := Hedge(context.Background(), time.Hour, func(context.Context) (int, error) {
-		return 0, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("waited for the hedge timer on a known-failed call")
 	}
 }

@@ -3,8 +3,7 @@
 // flaky mobile links (§4.2), the measurement crawler sweeping a live
 // service (§2), and operators calling the RSP's API. It provides a
 // context-aware retry policy with jittered exponential backoff and
-// per-attempt timeouts, a three-state circuit breaker, and a hedging
-// helper for tail-latency-sensitive reads.
+// per-attempt timeouts, and a three-state circuit breaker.
 //
 // The paper's architecture quietly assumes delivery: "an RSP's app can
 // upload all of its inferences asynchronously" only produces a

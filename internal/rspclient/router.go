@@ -69,10 +69,6 @@ func NewRouter(ring *cluster.Ring, opts RouterOptions) *Router {
 // Ring returns the routing descriptor.
 func (r *Router) Ring() *cluster.Ring { return r.ring }
 
-// Partition returns the transport for one partition, e.g. to pin an
-// unkeyed read to a chosen coordinator or reach that node's issuer.
-func (r *Router) Partition(p int) *HTTPTransport { return r.parts[p] }
-
 // forKey returns the transport owning an entity key.
 func (r *Router) forKey(key string) *HTTPTransport {
 	return r.parts[r.ring.Partition(key)]

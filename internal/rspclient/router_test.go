@@ -226,11 +226,11 @@ func TestRouterTokenKeyAndSignRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0key, err := router.Partition(0).FetchTokenKey()
+	p0key, err := (&HTTPTransport{BaseURL: router.Ring().Nodes(0)[0]}).FetchTokenKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2key, err := router.Partition(2).FetchTokenKey()
+	p2key, err := (&HTTPTransport{BaseURL: router.Ring().Nodes(2)[0]}).FetchTokenKey()
 	if err != nil {
 		t.Fatal(err)
 	}

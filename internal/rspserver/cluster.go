@@ -52,9 +52,6 @@ const (
 	// FanoutHeader reports how many partitions a gathered response
 	// consulted.
 	FanoutHeader = "X-Cluster-Fanout"
-	// GatherCacheHeader is "hit" when a gathered response was served
-	// from the coordinator's bounded-staleness cache.
-	GatherCacheHeader = "X-Cluster-Cache"
 )
 
 var (
@@ -69,7 +66,7 @@ var (
 		"Per-partition scatter-gather leg latency in seconds, by partition.",
 		nil, "partition")
 	metricClusterGatherCacheHits = obs.Default.Counter("cluster_gather_cache_hits_total",
-		"Gathered responses served from the coordinator's bounded-staleness cache.")
+		"Directory requests served from the coordinator's kept complete merges.")
 )
 
 // WithOwnershipGate refuses keyed requests whose entity another
@@ -137,23 +134,10 @@ func peekEntity(r *http.Request) string {
 
 // GatherOptions tunes the scatter-gather coordinator.
 type GatherOptions struct {
-	// Client performs the remote fanout legs; default is a fresh client
-	// with connection pooling sized for the fanout (timeouts come from
-	// the per-partition context, not the client).
-	Client *http.Client
 	// Timeout is the per-partition budget: a partition that has not
 	// answered — across however many of its nodes were tried — within
 	// this window is reported partial. Default 2s.
 	Timeout time.Duration
-	// CacheTTL bounds the staleness of the coordinator's gathered-result
-	// cache. A complete (every partition answered) merge is reused for
-	// identical request URIs within this window, amortizing the fanout
-	// the way a single node's commit-invalidated read cache amortizes a
-	// directory scan — the coordinator cannot see remote commits, so
-	// time, not invalidation, bounds staleness. Partial responses are
-	// never cached: an outage must not outlive the node that caused it.
-	// Default 500ms; negative disables caching.
-	CacheTTL time.Duration
 }
 
 // maxGatherBody bounds one fanout leg's response (a paper-scale full
@@ -166,26 +150,24 @@ const maxGatherBody = 64 << 20
 // (the node's own partition answers in-process), merge, and re-rank.
 // Requests carrying ClusterLocalHeader are fanout legs from another
 // coordinator and pass straight through to the local slice.
+//
+// A search is gathered on every request, so it reflects a commit as
+// soon as a single node would. A directory comes only from the catalog,
+// and the catalog and the ring are both fixed at boot, so a complete
+// directory merge is kept per service filter and never expires.
 func WithScatterGather(ring *cluster.Ring, self int, opts GatherOptions) Middleware {
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        4 * ring.NumPartitions(),
-			MaxIdleConnsPerHost: 4,
-		}}
-	}
+	// Timeouts come from the per-partition context, not the client.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        4 * ring.NumPartitions(),
+		MaxIdleConnsPerHost: 4,
+	}}
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	var cache *gatherCache
-	if opts.CacheTTL >= 0 {
-		ttl := opts.CacheTTL
-		if ttl == 0 {
-			ttl = 500 * time.Millisecond
-		}
-		cache = &gatherCache{ttl: ttl, entries: map[string]gatherEntry{}}
-	}
+	// dirs maps a service filter to its complete directory merge, as
+	// encoded JSON.
+	dirs := &sync.Map{}
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			route := r.URL.Path
@@ -195,53 +177,9 @@ func WithScatterGather(ring *cluster.Ring, self int, opts GatherOptions) Middlew
 				next.ServeHTTP(w, r)
 				return
 			}
-			gather(w, r, next, ring, self, client, timeout, cache)
+			gather(w, r, next, ring, self, client, timeout, dirs)
 		})
 	}
-}
-
-// gatherCache holds complete gathered responses for a short TTL. The
-// entry count is bounded; when full and no entry has expired, new
-// results simply go uncached — the coordinator degrades to re-fanning
-// rather than growing without bound.
-type gatherCache struct {
-	mu      sync.Mutex
-	ttl     time.Duration
-	entries map[string]gatherEntry
-}
-
-type gatherEntry struct {
-	body    []byte
-	expires time.Time
-}
-
-const maxGatherCacheEntries = 1024
-
-func (c *gatherCache) get(uri string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[uri]
-	if !ok || time.Now().After(e.expires) {
-		return nil, false
-	}
-	return e.body, true
-}
-
-func (c *gatherCache) put(uri string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) >= maxGatherCacheEntries {
-		now := time.Now()
-		for k, e := range c.entries {
-			if now.After(e.expires) {
-				delete(c.entries, k)
-			}
-		}
-		if len(c.entries) >= maxGatherCacheEntries {
-			return
-		}
-	}
-	c.entries[uri] = gatherEntry{body: body, expires: time.Now().Add(c.ttl)}
 }
 
 // leg is one partition's contribution to a gathered response.
@@ -252,15 +190,16 @@ type leg struct {
 
 func gather(w http.ResponseWriter, r *http.Request, next http.Handler,
 	ring *cluster.Ring, self int, client *http.Client, timeout time.Duration,
-	cache *gatherCache) {
+	dirs *sync.Map) {
 	n := ring.NumPartitions()
 	uri := r.URL.RequestURI()
-	if cache != nil {
-		if body, ok := cache.get(uri); ok {
+	isDir := r.URL.Path == "/api/directory"
+	svc := r.URL.Query().Get("service")
+	if isDir {
+		if body, ok := dirs.Load(svc); ok {
 			metricClusterGatherCacheHits.Inc()
 			w.Header().Set(FanoutHeader, strconv.Itoa(n))
-			w.Header().Set(GatherCacheHeader, "hit")
-			writeJSONBytes(w, http.StatusOK, body)
+			writeJSONBytes(w, http.StatusOK, body.([]byte))
 			return
 		}
 	}
@@ -293,19 +232,8 @@ func gather(w http.ResponseWriter, r *http.Request, next http.Handler,
 	}
 
 	var payload any
-	switch r.URL.Path {
-	case "/api/search":
-		var all []WireResult
-		merge(func(body []byte) bool {
-			var rs []WireResult
-			if json.Unmarshal(body, &rs) != nil {
-				return false
-			}
-			all = append(all, rs...)
-			return true
-		})
-		payload = mergeSearch(all, r.URL.Query().Get("limit"))
-	case "/api/directory":
+	keep := false
+	if isDir {
 		all := []WireEntity{}
 		merge(func(body []byte) bool {
 			var es []WireEntity
@@ -317,6 +245,20 @@ func gather(w http.ResponseWriter, r *http.Request, next http.Handler,
 		})
 		sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
 		payload = all
+		// An unknown filter merges to [] and is not kept, so callers
+		// cannot mint entries.
+		keep = len(all) > 0
+	} else {
+		var all []WireResult
+		merge(func(body []byte) bool {
+			var rs []WireResult
+			if json.Unmarshal(body, &rs) != nil {
+				return false
+			}
+			all = append(all, rs...)
+			return true
+		})
+		payload = mergeSearch(all, r.URL.Query().Get("limit"))
 	}
 
 	metricClusterFanouts.With(strings.TrimPrefix(r.URL.Path, "/api/")).Inc()
@@ -325,20 +267,19 @@ func gather(w http.ResponseWriter, r *http.Request, next http.Handler,
 			fmt.Errorf("rspserver: no partition answered within %v", timeout))
 		return
 	}
-	w.Header().Set(FanoutHeader, strconv.Itoa(n))
-	if len(missed) > 0 {
-		metricClusterPartials.Inc()
-		w.Header().Set(PartialHeader, strings.Join(missed, ","))
-		writeJSON(w, http.StatusOK, payload)
-		return
-	}
 	body, err := encodeJSON(payload)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	if cache != nil {
-		cache.put(uri, body)
+	w.Header().Set(FanoutHeader, strconv.Itoa(n))
+	if len(missed) > 0 {
+		// A partial merge is never kept: an outage must not outlive the
+		// node that caused it.
+		metricClusterPartials.Inc()
+		w.Header().Set(PartialHeader, strings.Join(missed, ","))
+	} else if keep {
+		dirs.Store(svc, body)
 	}
 	writeJSONBytes(w, http.StatusOK, body)
 }

@@ -1,6 +1,7 @@
 package rspserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,10 +69,7 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		}
 		tc.servers = append(tc.servers, srv)
 		h := Chain(srv.Handler(),
-			WithScatterGather(ring, p, GatherOptions{
-				Timeout:  500 * time.Millisecond,
-				CacheTTL: 200 * time.Millisecond,
-			}),
+			WithScatterGather(ring, p, GatherOptions{Timeout: 500 * time.Millisecond}),
 			WithOwnershipGate(ring, p),
 		)
 		handlers[p].Store(&h)
@@ -225,41 +223,96 @@ func TestScatterGatherLocalLegStaysLocal(t *testing.T) {
 	}
 }
 
+// TestScatterGatherCache: a coordinator keeps complete directory merges
+// and nothing else — not an unknown filter's empty merge, not a partial
+// merge, not a search.
 func TestScatterGatherCache(t *testing.T) {
 	tc := newTestCluster(t, 3)
-
-	// First gather fans out and fills the cache; a repeat within the TTL
-	// is served from it.
-	var dir []WireEntity
-	resp := getJSON(t, tc.ts[0].URL+"/api/directory", &dir)
-	if resp.StatusCode != 200 || resp.Header.Get(GatherCacheHeader) != "" {
-		t.Fatalf("first gather: status %d, cache header %q", resp.StatusCode, resp.Header.Get(GatherCacheHeader))
-	}
-	var cached []WireEntity
-	resp = getJSON(t, tc.ts[0].URL+"/api/directory", &cached)
-	if got := resp.Header.Get(GatherCacheHeader); got != "hit" {
-		t.Fatalf("repeat gather: %s = %q, want hit", GatherCacheHeader, got)
-	}
-	if resp.Header.Get(FanoutHeader) != "3" {
-		t.Fatalf("cached response lost fanout header: %q", resp.Header.Get(FanoutHeader))
-	}
-	if len(cached) != len(dir) {
-		t.Fatalf("cached body has %d entities, fresh had %d", len(cached), len(dir))
+	get := func(uri string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(tc.ts[0].URL + uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
 	}
 
-	// Past the TTL with a partition down, the re-gather goes partial —
-	// and partial results are never cached, so the next request fans out
-	// again rather than pinning the outage.
-	time.Sleep(300 * time.Millisecond)
-	tc.ts[2].Close()
+	// A repeated directory request is served from the kept merge, byte
+	// for byte.
+	_, fresh := get("/api/directory")
+	hits := metricClusterGatherCacheHits.Value()
+	resp, kept := get("/api/directory")
+	if got := metricClusterGatherCacheHits.Value(); got != hits+1 {
+		t.Fatalf("repeated directory: cache hits %d -> %d, want one more", hits, got)
+	}
+	if !bytes.Equal(kept, fresh) {
+		t.Fatalf("kept directory differs from the gathered one:\n%s\n%s", kept, fresh)
+	}
+	if got := resp.Header.Get(FanoutHeader); got != "3" {
+		t.Fatalf("kept directory: %s = %q, want 3", FanoutHeader, got)
+	}
+
+	// An unknown filter merges to [] and is never kept.
+	hits = metricClusterGatherCacheHits.Value()
 	for i := 0; i < 2; i++ {
-		resp = getJSON(t, tc.ts[0].URL+"/api/directory", nil)
-		if got := resp.Header.Get(PartialHeader); got != "2" {
-			t.Fatalf("request %d after kill: %s = %q, want 2", i, PartialHeader, got)
+		if _, body := get("/api/directory?service=nope"); strings.TrimSpace(string(body)) != "[]" {
+			t.Fatalf("unknown filter, request %d: body %s, want []", i, body)
 		}
-		if got := resp.Header.Get(GatherCacheHeader); got != "" {
-			t.Fatalf("request %d after kill served from cache (%q) — partials must not be cached", i, got)
+	}
+	if got := metricClusterGatherCacheHits.Value(); got != hits {
+		t.Fatalf("unknown filter served from the coordinator: cache hits %d -> %d", hits, got)
+	}
+
+	// With a partition down, the kept unfiltered directory still answers
+	// complete; a filter never gathered, and every search, goes partial
+	// on every request.
+	tc.ts[2].Close()
+	resp, body := get("/api/directory")
+	if got := resp.Header.Get(PartialHeader); got != "" || !bytes.Equal(body, fresh) {
+		t.Fatalf("kept directory after kill: %s = %q, body unchanged %v", PartialHeader, got, bytes.Equal(body, fresh))
+	}
+	for i := 0; i < 2; i++ {
+		for _, uri := range []string{"/api/directory?service=yelp", "/api/search?service=yelp&zip=48104&category=chinese"} {
+			if resp, _ := get(uri); resp.Header.Get(PartialHeader) != "2" {
+				t.Fatalf("request %d for %s after kill: %s = %q, want 2", i, uri, PartialHeader, resp.Header.Get(PartialHeader))
+			}
 		}
+	}
+}
+
+// TestScatterGatherSearchSeesCommit: a gathered search reflects a commit
+// on the entity's owner at once, as a single node's search does.
+func TestScatterGatherSearchSeesCommit(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	key := tc.keyOwnedBy(t, 1)
+	uri := tc.ts[0].URL + "/api/search?service=yelp&zip=48104&category=chinese"
+	reviewCount := func() int {
+		t.Helper()
+		var results []WireResult
+		if resp := getJSON(t, uri, &results); resp.StatusCode != 200 {
+			t.Fatalf("GET /api/search = %d", resp.StatusCode)
+		}
+		for _, res := range results {
+			if res.Entity.Key == key {
+				return res.ReviewCount
+			}
+		}
+		t.Fatalf("%s missing from the gathered search", key)
+		return 0
+	}
+
+	before := reviewCount()
+	review := PostReviewRequest{Entity: key, Author: "alice", Rating: 5, Text: "fresh"}
+	if resp := postJSON(t, tc.ts[1].URL+"/api/reviews", review, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /api/reviews on the owner = %d", resp.StatusCode)
+	}
+	if got := reviewCount(); got != before+1 {
+		t.Fatalf("review_count after a commit = %d, want %d", got, before+1)
 	}
 }
 

@@ -85,19 +85,22 @@ func TestUploadSpentTokenUnknownKeyStays403(t *testing.T) {
 	}
 }
 
-// TestUploadKeylessStaysAtLeastOnce: legacy clients without keys keep
-// the old semantics — every delivery counts.
-func TestUploadKeylessStaysAtLeastOnce(t *testing.T) {
+// TestUploadWithoutKeyRefused: every upload carries its idempotency
+// key. One without is refused with 400 before anything is spent, so the
+// same token is accepted once the key is added.
+func TestUploadWithoutKeyRefused(t *testing.T) {
 	srv, ts := testServer(t)
-	for i := 0; i < 2; i++ {
-		req := uploadFor(t, ts, "dev-legacy", "")
-		if resp := postJSON(t, ts.URL+"/api/upload", req, nil); resp.StatusCode != 202 {
-			t.Fatalf("delivery %d status %d", i, resp.StatusCode)
-		}
+	req := uploadFor(t, ts, "dev-keyless", "")
+	if resp := postJSON(t, ts.URL+"/api/upload", req, nil); resp.StatusCode != 400 {
+		t.Fatalf("keyless upload status %d, want 400", resp.StatusCode)
+	}
+	req.Key = "key-after-keyless"
+	if resp := postJSON(t, ts.URL+"/api/upload", req, nil); resp.StatusCode != 202 {
+		t.Fatalf("same token with a key: status %d, want 202", resp.StatusCode)
 	}
 	_, ops, _ := srv.Stores()
-	if got := ops.Total(); got != 2 {
-		t.Fatalf("opinions.Total() = %d for two keyless uploads, want 2", got)
+	if got := ops.Total(); got != 1 {
+		t.Fatalf("opinions.Total() = %d, want 1", got)
 	}
 }
 
@@ -113,7 +116,7 @@ func TestDedupLedgerSurvivesSnapshot(t *testing.T) {
 	snap := srv.Snapshot()
 
 	srv2, ts2 := testServer(t)
-	if err := srv2.RestoreSnapshot(snap); err != nil {
+	if err := srv2.Store().Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if srv2.DedupLen() != 1 {

@@ -168,10 +168,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	st.SetCommitHook(s.invalidateOnCommit)
 	// Restores jump timelines, so per-entity invalidation cannot bound
-	// what changed. Hooking the store (rather than flushing in
-	// RestoreSnapshot) covers every Restore caller — including a
-	// replication follower seeding from a leader snapshot, which never
-	// goes through the server.
+	// what changed. Hooking the store covers every Restore caller —
+	// including a replication follower seeding from a leader snapshot,
+	// which never goes through the server.
 	st.SetRestoreHook(s.cache.Reset)
 	return s, nil
 }
@@ -749,8 +748,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // ledger already holds is likewise success: the first delivery was
 // applied, the client just never heard the answer.
 func (s *Server) AcceptUpload(req UploadRequest) error {
-	if req.AnonID == "" || req.Entity == "" {
-		return errors.New("rspserver: upload missing anon_id or entity")
+	if req.AnonID == "" || req.Entity == "" || req.Key == "" {
+		return errors.New("rspserver: upload missing anon_id, entity or idempotency key")
 	}
 	if req.Record == nil && req.Rating == nil {
 		return errors.New("rspserver: upload carries neither record nor rating")
@@ -782,30 +781,26 @@ func (s *Server) AcceptUpload(req UploadRequest) error {
 		return store.ErrUnavailable
 	}
 	ledger := s.st.Ledger()
-	if req.Key != "" {
-		done, dup := ledger.Begin(req.Key)
-		if done || dup {
-			// Already applied (or a racing twin of this very request is
-			// mid-apply and owns it): answer success, apply nothing, and
-			// leave the token unspent for the fresh-token redelivery case.
-			// The replay ack still goes through the replication barrier:
-			// if the original commit is not yet follower-acked (its 503
-			// was a barrier timeout), acking its replay here would let
-			// the client forget an upload a failover could then lose.
-			metricDedupReplays.Inc()
-			return s.st.AckBarrierAll()
-		}
+	done, dup := ledger.Begin(req.Key)
+	if done || dup {
+		// Already applied (or a racing twin of this very request is
+		// mid-apply and owns it): answer success, apply nothing, and
+		// leave the token unspent for the fresh-token redelivery case.
+		// The replay ack still goes through the replication barrier:
+		// if the original commit is not yet follower-acked (its 503
+		// was a barrier timeout), acking its replay here would let
+		// the client forget an upload a failover could then lose.
+		metricDedupReplays.Inc()
+		return s.st.AckBarrierAll()
 	}
 	if err := s.redeemer.Redeem(tok); err != nil {
-		if req.Key != "" {
-			ledger.Abort(req.Key)
-			if errors.Is(err, blindsig.ErrTokenSpent) && ledger.Contains(req.Key) {
-				// The same token+key was committed between our ledger
-				// check and the redeem — the retry raced its twin. The
-				// upload is applied; report success, not 403.
-				metricDedupReplays.Inc()
-				return s.st.AckBarrierAll()
-			}
+		ledger.Abort(req.Key)
+		if errors.Is(err, blindsig.ErrTokenSpent) && ledger.Contains(req.Key) {
+			// The same token+key was committed between our ledger
+			// check and the redeem — the retry raced its twin. The
+			// upload is applied; report success, not 403.
+			metricDedupReplays.Inc()
+			return s.st.AckBarrierAll()
 		}
 		return err
 	}
@@ -818,7 +813,7 @@ func (s *Server) AcceptUpload(req UploadRequest) error {
 		crec.Rating = &rating
 	}
 	if err := s.st.Commit(crec); err != nil {
-		if req.Key != "" && !errors.Is(err, store.ErrReplicationLag) {
+		if !errors.Is(err, store.ErrReplicationLag) {
 			// Whether the apply failed (key still only in flight) or the
 			// log failed after the apply (key admitted but the client
 			// will see an error, never an ack): erase every trace of the
@@ -1001,16 +996,6 @@ func (s *Server) FraudSweep() (int, int, error) {
 // taken under the store's commit lock for a consistent cut; callers
 // encode it (storage.Write/SaveFile) outside any lock.
 func (s *Server) Snapshot() *storage.Snapshot { return s.st.Snapshot() }
-
-// RestoreSnapshot replaces the server's state with the snapshot's.
-// Every cached read response is flushed via the store's restore hook,
-// which fires for any Restore caller (not just this method).
-func (s *Server) RestoreSnapshot(snap *storage.Snapshot) error {
-	if snap == nil {
-		return errors.New("rspserver: nil snapshot")
-	}
-	return s.st.Restore(snap)
-}
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

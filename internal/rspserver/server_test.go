@@ -178,6 +178,7 @@ func TestUploadFlow(t *testing.T) {
 		Record: &WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 3600, DistanceM: 2000},
 		Rating: &rating,
 		Token:  tok,
+		Key:    "key-flow-1",
 	}
 	resp := postJSON(t, ts.URL+"/api/upload", req, nil)
 	if resp.StatusCode != http.StatusAccepted {
@@ -190,7 +191,8 @@ func TestUploadFlow(t *testing.T) {
 	if len(hists.ByEntity("yelp/a")) != 1 {
 		t.Fatal("history not stored")
 	}
-	// Replay with the same token must fail.
+	// The same token under a new key is a double spend.
+	req.Key = "key-flow-2"
 	resp = postJSON(t, ts.URL+"/api/upload", req, nil)
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("replay status %d", resp.StatusCode)
@@ -201,27 +203,27 @@ func TestUploadValidation(t *testing.T) {
 	_, ts := testServer(t)
 	tok := fetchToken(t, ts.URL, "device-2")
 	// No record, no rating.
-	resp := postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/a", Token: tok}, nil)
+	resp := postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/a", Token: tok, Key: "key-v1"}, nil)
 	if resp.StatusCode != 400 {
 		t.Fatalf("empty upload status %d", resp.StatusCode)
 	}
 	// Unknown entity.
 	tok2 := fetchToken(t, ts.URL, "device-2")
 	r := WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 60}
-	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/zzz", Record: &r, Token: tok2}, nil)
+	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/zzz", Record: &r, Token: tok2, Key: "key-v2"}, nil)
 	if resp.StatusCode != 400 {
 		t.Fatalf("unknown entity status %d", resp.StatusCode)
 	}
 	// Forged token.
 	forged := WireToken{Msg: "abcd", Sig: "12345"}
-	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/a", Record: &r, Token: forged}, nil)
+	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/a", Record: &r, Token: forged, Key: "key-v3"}, nil)
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("forged token status %d", resp.StatusCode)
 	}
 	// Bad kind.
 	tok3 := fetchToken(t, ts.URL, "device-2")
 	bad := WireRecord{Kind: "teleport", Start: simclock.Epoch}
-	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/a", Record: &bad, Token: tok3}, nil)
+	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "x", Entity: "yelp/a", Record: &bad, Token: tok3, Key: "key-v4"}, nil)
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad kind status %d", resp.StatusCode)
 	}
@@ -232,11 +234,11 @@ func TestUploadEntityMismatchConflict(t *testing.T) {
 	tok1 := fetchToken(t, ts.URL, "d")
 	tok2 := fetchToken(t, ts.URL, "d")
 	r := WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 60}
-	resp := postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "same-id", Entity: "yelp/a", Record: &r, Token: tok1}, nil)
+	resp := postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "same-id", Entity: "yelp/a", Record: &r, Token: tok1, Key: "key-m1"}, nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first upload status %d", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "same-id", Entity: "yelp/b", Record: &r, Token: tok2}, nil)
+	resp = postJSON(t, ts.URL+"/api/upload", UploadRequest{AnonID: "same-id", Entity: "yelp/b", Record: &r, Token: tok2, Key: "key-m2"}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatch status %d", resp.StatusCode)
 	}
@@ -407,7 +409,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	postJSON(t, ts.URL+"/api/upload", UploadRequest{
 		AnonID: "anon1", Entity: "yelp/a",
 		Record: &WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 1800, DistanceM: 900},
-		Rating: &rating, Token: tok,
+		Rating: &rating, Token: tok, Key: "key-roundtrip",
 	}, nil)
 	rng := stats.NewRNG(4)
 	for i := 0; i < 40; i++ {
@@ -429,7 +431,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv2.RestoreSnapshot(snap); err != nil {
+	if err := srv2.Store().Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	rev2, ops2, hists2 := srv2.Stores()
@@ -461,7 +463,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsBadSnapshot(t *testing.T) {
 	srv, _ := testServer(t)
-	if err := srv.RestoreSnapshot(nil); err == nil {
+	if err := srv.Store().Restore(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
 }

@@ -69,6 +69,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 						Entity: entity,
 						Record: &WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 1800, DistanceM: 500},
 						Token:  tok,
+						Key:    fmt.Sprintf("key-%s-%d", device, op),
 					}, nil)
 					if resp.StatusCode != 202 {
 						t.Errorf("upload status %d", resp.StatusCode)

@@ -106,7 +106,8 @@ type UploadRequest struct {
 	// Key is the client-stamped idempotency key: stable across retries,
 	// spooling, and redelivery under a fresh token, so the server can
 	// recognize and absorb duplicate deliveries (exactly-once uploads).
-	// Empty (legacy clients) disables deduplication for this upload.
+	// Required: an upload without one is refused with 400 before its
+	// token is spent.
 	Key string `json:"key,omitempty"`
 }
 

@@ -62,7 +62,9 @@ type Record struct {
 	Entity string              `json:"entity,omitempty"`
 	Visit  *interaction.Record `json:"visit,omitempty"`
 	Rating *float64            `json:"rating,omitempty"`
-	// Key is the upload's idempotency key; empty for keyless uploads.
+	// Key is the upload's idempotency key. The server refuses an upload
+	// without one; a record committed directly through Commit may leave
+	// it empty, and then admits nothing to the ledger.
 	Key string `json:"key,omitempty"`
 
 	// KindReview field: the review as submitted. Commit assigns the ID

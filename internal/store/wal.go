@@ -414,7 +414,9 @@ func (l *walLog) close() error {
 // frame in order. It returns the byte offset just past the last intact
 // frame and whether the segment ends in a torn or corrupt frame — a
 // partial header, a partial payload, a bad length, a checksum mismatch,
-// or a missing/short magic. A replay error from fn aborts the scan.
+// or a missing/short magic. A replay error from fn aborts the scan, and
+// so does an intact frame whose sequence number is not above the
+// previous frame's: a crash tears a frame, it does not reorder one.
 func replaySegment(path string, fn func(seq uint64, payload []byte) error) (validLen int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -432,6 +434,7 @@ func replaySegment(path string, fn func(seq uint64, payload []byte) error) (vali
 	}
 	off := int64(len(segMagic))
 	var hdr [frameHeaderLen]byte
+	var last uint64
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -452,9 +455,13 @@ func replaySegment(path string, fn func(seq uint64, payload []byte) error) (vali
 		if crcFrame(seq, payload) != sum {
 			return off, true, nil // bit rot or a write torn inside the payload
 		}
+		if off > int64(len(segMagic)) && seq <= last {
+			return off, false, fmt.Errorf("store: WAL record %d follows %d in %s", seq, last, path)
+		}
 		if err := fn(seq, payload); err != nil {
 			return off, false, err
 		}
+		last = seq
 		off += frameHeaderLen + int64(n)
 	}
 }
