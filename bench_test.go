@@ -264,7 +264,7 @@ func BenchmarkAblationAbstention(b *testing.B) {
 	if !d.ModelTrained {
 		b.Skip("no model")
 	}
-	m := d.Server.Model()
+	m := d.Server.Models().Global
 	// Collect evidence once.
 	var evs []inference.EntityEvidence
 	for _, agent := range d.Agents {

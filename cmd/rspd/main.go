@@ -7,17 +7,19 @@
 //	rspd -world directory -scale 0.1 # the five measured services (crawler connects)
 //
 // Endpoints are documented in internal/rspserver. Observability rides
-// the public listener at /metrics (Prometheus text format),
-// /debug/vars (expvar JSON), and /debug/requests (recent traced
-// spans); profiling via net/http/pprof is opt-in behind -debug-addr so
-// it never shares the public listener.
+// the public listener at /metrics (Prometheus text format) and
+// /debug/requests (recent traced spans); profiling via net/http/pprof
+// is opt-in behind -debug-addr so it never shares the public listener.
+//
+// Each request runs under a fixed middleware chain: a 30 s handler
+// timeout, shedding beyond 256 concurrent requests with a 1 s
+// Retry-After, and the last 256 traced spans kept for /debug/requests.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -31,8 +33,6 @@ import (
 	"time"
 
 	"opinions/internal/cluster"
-	"opinions/internal/core"
-	"opinions/internal/faultinject"
 	"opinions/internal/obs"
 	"opinions/internal/replication"
 	"opinions/internal/rspserver"
@@ -40,33 +40,35 @@ import (
 	"opinions/internal/world"
 )
 
+// The serving chain's fixed bounds.
+const (
+	requestTimeout = 30 * time.Second
+	maxInFlight    = 256
+	shedRetryAfter = time.Second
+	traceSpans     = 256
+)
+
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		debugAddr   = flag.String("debug-addr", "", "optional private listener for pprof profiling (plus metrics/vars/requests); empty disables")
-		universe    = flag.String("world", "city", "universe to serve: city | directory")
-		scale       = flag.Float64("scale", 0.2, "directory scale (1.0 = paper scale, ~75k entities)")
-		seed        = flag.Int64("seed", 1, "world seed")
-		users       = flag.Int("users", 400, "city users (city world only)")
-		keyBits     = flag.Int("keybits", 2048, "blind-signature RSA key size")
-		walDir      = flag.String("wal-dir", "", "durability directory: write-ahead log + snapshot; every mutation is fsynced before it is acknowledged, and recovery on boot replays the log tail")
-		compactEvr  = flag.Int("compact-every", 0, "fold the WAL into a snapshot every N records (with -wal-dir; 0 = default 4096, negative disables auto-compaction)")
-		commStripes = flag.Int("commit-stripes", 0, "commit pipeline stripes: per-stripe WAL segments, sequence spaces, and group-commit syncers (with -wal-dir; 0 = match the read stripes)")
-		epsilon     = flag.Float64("privacy-epsilon", 0, "when >0, release inference aggregates with ε-differential privacy")
-		rateLim     = flag.Int("rate-limit", 600, "per-host HTTP requests per minute (0 disables)")
-		quiet       = flag.Bool("quiet", false, "disable per-request logging")
-		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request handler timeout (0 disables)")
-		maxInFlight = flag.Int("max-inflight", 256, "max concurrent requests before shedding with 503 (0 disables)")
-		spans       = flag.Int("trace-spans", 256, "recent request spans retained for /debug/requests")
-		chaos       = flag.Bool("chaos", false, "inject faults (latency, 5xx bursts, resets, truncation) for resilience testing")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "fault-injection RNG seed (with -chaos)")
-		replAddr    = flag.String("replication-addr", "", "listen address for the WAL replication stream (leader mode; a follower with this set starts leading on promotion)")
-		replFrom    = flag.String("replicate-from", "", "leader replication address to follow (follower mode: mutating routes answer 503 until promotion)")
-		replSync    = flag.Bool("replication-sync", true, "semi-synchronous commits: acknowledge a mutation only after an attached follower has it (with -replication-addr)")
-		failAfter   = flag.Duration("failover-after", 10*time.Second, "follower auto-promotes after this long without leader contact (with -replicate-from; 0 = explicit /promote only)")
-		leaderURL   = flag.String("leader-url", "", "leader's public HTTP URL, returned as X-Leader on follower-gate 503s")
-		clusterCfg  = flag.String("cluster-config", "", "cluster ring descriptor (JSON); the node serves one partition of a multi-node deployment")
-		partition   = flag.Int("partition", -1, "this node's partition id in the -cluster-config ring")
+		addr       = flag.String("addr", ":8080", "listen address")
+		debugAddr  = flag.String("debug-addr", "", "optional private listener for pprof profiling (plus metrics and requests); empty disables")
+		universe   = flag.String("world", "city", "universe to serve: city | directory")
+		scale      = flag.Float64("scale", 0.2, "directory scale (1.0 = paper scale, ~75k entities)")
+		seed       = flag.Int64("seed", 1, "world seed")
+		users      = flag.Int("users", 400, "city users (city world only)")
+		keyBits    = flag.Int("keybits", 2048, "blind-signature RSA key size")
+		walDir     = flag.String("wal-dir", "", "durability directory: write-ahead log + snapshot; every mutation is fsynced before it is acknowledged, and recovery on boot replays the log tail")
+		compactEvr = flag.Int("compact-every", 0, "fold the WAL into a snapshot every N records (with -wal-dir; 0 = default 4096, negative disables auto-compaction)")
+		epsilon    = flag.Float64("privacy-epsilon", 0, "when >0, release inference aggregates with ε-differential privacy")
+		rateLim    = flag.Int("rate-limit", 600, "per-host HTTP requests per minute (0 disables)")
+		quiet      = flag.Bool("quiet", false, "disable per-request logging")
+		replAddr   = flag.String("replication-addr", "", "listen address for the WAL replication stream (leader mode; a follower with this set starts leading on promotion)")
+		replFrom   = flag.String("replicate-from", "", "leader replication address to follow (follower mode: mutating routes answer 503 until promotion)")
+		replSync   = flag.Bool("replication-sync", true, "semi-synchronous commits: acknowledge a mutation only after an attached follower has it (with -replication-addr)")
+		failAfter  = flag.Duration("failover-after", 10*time.Second, "follower auto-promotes after this long without leader contact (with -replicate-from; 0 = explicit /promote only)")
+		leaderURL  = flag.String("leader-url", "", "leader's public HTTP URL, returned as X-Leader on follower-gate 503s")
+		clusterCfg = flag.String("cluster-config", "", "cluster ring descriptor (JSON); the node serves one partition of a multi-node deployment")
+		partition  = flag.Int("partition", -1, "this node's partition id in the -cluster-config ring")
 	)
 	flag.Parse()
 
@@ -133,16 +135,16 @@ func main() {
 	var st *store.Store
 	if *walDir != "" {
 		var err error
-		st, err = store.Open(store.Options{Dir: *walDir, Stripes: *commStripes, CompactEvery: *compactEvr, Logger: logger})
+		st, err = store.Open(store.Options{Dir: *walDir, CompactEvery: *compactEvr, Logger: logger})
 		if err != nil {
 			fatal("opening durable store", "dir", *walDir, "err", err)
 		}
 		logger.Info("durable store open", "dir", *walDir, "seq", st.Seq(), "commit_stripes", st.NumStripes())
 	}
 
-	repo, err := core.Open(core.Config{Catalog: catalog, KeyBits: *keyBits, Zips: zips, PrivacyEpsilon: *epsilon, Store: st})
+	rsp, err := rspserver.New(rspserver.Config{Catalog: catalog, KeyBits: *keyBits, Zips: zips, PrivacyEpsilon: *epsilon, Store: st})
 	if err != nil {
-		fatal("opening repository", "err", err)
+		fatal("building server", "err", err)
 	}
 
 	// Replication. The leader streams every WAL commit to followers over
@@ -154,7 +156,7 @@ func main() {
 	// it is promoted, so the survivor of a failover can take followers
 	// of its own. Works with a memory-only store too (the stream is the
 	// durability), though -wal-dir is the intended pairing.
-	stateStore := repo.Server().Store()
+	stateStore := rsp.Store()
 	var (
 		repMu     sync.Mutex
 		repLeader *replication.Leader
@@ -202,10 +204,8 @@ func main() {
 	// process. Tracing sits directly inside recovery so every log line
 	// and metric below runs in trace context; metrics wrap the shedding
 	// middlewares so shed 503s and rate-limit 429s are counted as such.
-	// The chaos injector is innermost: faults fire instead of the real
-	// handler, behind the same shedding the real traffic sees.
-	ring := obs.NewSpanRing(*spans)
-	handler := repo.Handler()
+	ring := obs.NewSpanRing(traceSpans)
+	handler := rsp.Handler()
 	mws := []rspserver.Middleware{
 		rspserver.WithRecovery(logger),
 		rspserver.WithTracing(ring),
@@ -217,28 +217,15 @@ func main() {
 	if *rateLim > 0 {
 		mws = append(mws, rspserver.WithRateLimit(*rateLim, time.Minute, nil))
 	}
-	mws = append(mws, rspserver.WithTimeout(*reqTimeout))
-	mws = append(mws, rspserver.WithMaxInFlight(*maxInFlight, time.Second))
-	if *chaos {
-		inj := faultinject.New(faultinject.Config{
-			Seed:         *chaosSeed,
-			ErrorRate:    0.20,
-			ErrorBurst:   2,
-			ResetRate:    0.05,
-			TruncateRate: 0.05,
-			LatencyMin:   10 * time.Millisecond,
-			LatencyMax:   250 * time.Millisecond,
-		})
-		mws = append(mws, inj.Middleware)
-		logger.Warn("CHAOS MODE — injecting faults; not for production", "seed", *chaosSeed)
-	}
+	mws = append(mws, rspserver.WithTimeout(requestTimeout))
+	mws = append(mws, rspserver.WithMaxInFlight(maxInFlight, shedRetryAfter))
 	if follower != nil {
 		fol := follower
 		mws = append(mws, rspserver.WithFollowerGate(func() bool { return !fol.Promoted() }, *leaderURL))
 	}
 	if ringCfg != nil {
 		// Innermost: the gather's local leg re-enters below the shedding
-		// and chaos layers (one client request stays one in-flight slot),
+		// layers (one client request stays one in-flight slot),
 		// and the ownership gate refuses foreign keys only after the
 		// request has paid the same tolls as an owned one.
 		mws = append(mws,
@@ -249,14 +236,12 @@ func main() {
 	handler = rspserver.Chain(handler, mws...)
 
 	// Observability endpoints share the public listener but sit outside
-	// the middleware chain: a scrape must not burn the rate limit, be
-	// shed, or have chaos injected into it.
+	// the middleware chain: a scrape must not burn the rate limit or be
+	// shed.
 	obs.RegisterProcessMetrics(obs.Default)
-	expvar.Publish("obs", expvar.Func(func() any { return obs.Default.Snapshot() }))
 	mux := http.NewServeMux()
 	mux.Handle("/", handler)
 	mux.Handle("/metrics", obs.Default.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/requests", ring.Handler())
 
 	// Liveness, readiness, and the operator promotion lever share the
@@ -320,7 +305,6 @@ func main() {
 		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dbg.Handle("/metrics", obs.Default.Handler())
-		dbg.Handle("/debug/vars", expvar.Handler())
 		dbg.Handle("/debug/requests", ring.Handler())
 		go func() {
 			logger.Info("debug listener up (pprof enabled)", "addr", *debugAddr)

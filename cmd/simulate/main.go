@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) (*experiments.Deployment, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Restore(dep.Server.Snapshot()); err != nil {
+	if err := st.Restore(dep.Server.Store().Snapshot()); err != nil {
 		st.Close()
 		return nil, err
 	}

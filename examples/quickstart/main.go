@@ -9,8 +9,8 @@ import (
 	"log"
 	"time"
 
-	"opinions/internal/core"
 	"opinions/internal/rspclient"
+	"opinions/internal/rspserver"
 	"opinions/internal/search"
 	"opinions/internal/simclock"
 	"opinions/internal/trace"
@@ -23,10 +23,11 @@ func main() {
 	city := world.BuildCity(world.CityConfig{Seed: 42, NumUsers: 40})
 
 	// 2. The repository: reviews + anonymous histories + inferred
-	// opinions + token issuance behind one handle.
-	repo, err := core.Open(core.Config{
+	// opinions + token issuance behind one server.
+	clock := simclock.NewSim(simclock.Epoch)
+	srv, err := rspserver.New(rspserver.Config{
 		Catalog:   city.Entities,
-		Clock:     simclock.NewSim(simclock.Epoch),
+		Clock:     clock,
 		KeyBits:   1024,
 		TokenRate: 1 << 16,
 	})
@@ -36,17 +37,17 @@ func main() {
 
 	// 3. A classic explicit review — what today's RSPs collect.
 	best := city.EntitiesByCategory("restaurant")[0]
-	if err := repo.PostReview(best.Key(), "alice", 4.5, "wonderful noodles"); err != nil {
+	if _, err := srv.PostReview(best.Key(), "alice", 4.5, "wonderful noodles"); err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. One user's device runs the agent for a month: sensing, local
 	// entity mapping, anonymous uploads.
 	sim := trace.New(city, trace.Config{Seed: 43, Days: 30})
-	agent, err := repo.NewDeviceAgent(rspclient.Config{
+	agent := rspclient.NewAgent(rspclient.Config{
 		DeviceID: "demo-device", Author: "u0", Seed: 7, MixMax: time.Hour,
-	})
-	if err != nil {
+	}, &rspclient.LocalTransport{Server: srv, Clock: clock})
+	if err := agent.Bootstrap(); err != nil {
 		log.Fatal(err)
 	}
 	u := city.Users[0]
@@ -67,10 +68,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("device detected %d interactions in 30 days; repository now holds:\n", detected)
-	fmt.Printf("  %+v\n\n", repo.Stats())
+	rev, ops, hists := srv.Stores()
+	hs := hists.Stats()
+	fmt.Printf("  %d entities, %d reviews, %d histories (%d records), %d inferred opinions\n\n",
+		len(srv.Catalog()), rev.TotalReviews(), hs.Histories, hs.Records, ops.Total())
 
 	// 5. Search: results carry review counts AND interaction summaries.
-	results := repo.Search(search.Query{Service: world.Yelp, Zip: "48104", Category: "restaurant", Limit: 5})
+	results := srv.Engine().Search(search.Query{Service: world.Yelp, Zip: "48104", Category: "restaurant", Limit: 5})
 	fmt.Println("top restaurants:")
 	for i, r := range results {
 		fmt.Printf("  %d. %-28s score %.2f  reviews %d  inferred %d  users-observed %d\n",

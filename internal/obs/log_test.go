@@ -97,11 +97,15 @@ func TestSpansHandlerJSON(t *testing.T) {
 func TestRegisterProcessMetrics(t *testing.T) {
 	r := NewRegistry()
 	RegisterProcessMetrics(r)
-	snap := r.Snapshot()
-	if v, ok := snap["go_goroutines"].(float64); !ok || v < 1 {
-		t.Fatalf("go_goroutines = %v", snap["go_goroutines"])
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if v, ok := snap["go_heap_alloc_bytes"].(float64); !ok || v <= 0 {
-		t.Fatalf("go_heap_alloc_bytes = %v", snap["go_heap_alloc_bytes"])
+	samples := parseExposition(t, b.String())
+	if v, ok := samples["go_goroutines"]; !ok || v < 1 {
+		t.Fatalf("go_goroutines = %v", v)
+	}
+	if v, ok := samples["go_heap_alloc_bytes"]; !ok || v <= 0 {
+		t.Fatalf("go_heap_alloc_bytes = %v", v)
 	}
 }

@@ -4,7 +4,7 @@
 // text-format exposition, lightweight 128-bit request tracing, and an
 // in-memory ring of recent request spans.
 //
-// The registry follows the expvar/prometheus default-registry idiom:
+// The registry follows the Prometheus default-registry idiom:
 // packages declare their instruments once against Default at init time
 // and hold the returned handles, so the hot path is a single atomic
 // add — no lock, no map lookup, no allocation. Registration is
@@ -278,36 +278,6 @@ type HistogramVec struct{ fam *family }
 func (v *HistogramVec) With(values ...string) *Histogram {
 	f := v.fam
 	return f.getOrCreate(values, func() any { return newHistogram(f.bounds) }).metric.(*Histogram)
-}
-
-// Snapshot returns a flat name→value map of every series, for
-// /debug/vars. Counters and gauges map to numbers; histograms to
-// {count, sum} objects. Labeled series render as name{k="v",...}.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	for _, f := range r.families() {
-		if f.fn != nil {
-			out[f.name] = f.fn()
-			continue
-		}
-		f.mu.RLock()
-		for _, s := range f.series {
-			key := f.name
-			if len(f.labels) > 0 {
-				key += renderLabels(f.labels, s.labelValues, "", "")
-			}
-			switch m := s.metric.(type) {
-			case *Counter:
-				out[key] = m.Value()
-			case *Gauge:
-				out[key] = m.Value()
-			case *Histogram:
-				out[key] = map[string]any{"count": m.Count(), "sum": m.Sum()}
-			}
-		}
-		f.mu.RUnlock()
-	}
-	return out
 }
 
 // families returns the families sorted by name.

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -107,9 +109,12 @@ func TestHistogramUnsortedBoundsSorted(t *testing.T) {
 func TestGaugeFuncSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("age_seconds", "", func() float64 { return 42.5 })
-	snap := r.Snapshot()
-	if got := snap["age_seconds"]; got != 42.5 {
-		t.Fatalf("snapshot gauge func = %v, want 42.5", got)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := parseExposition(t, b.String())["age_seconds"]; got != 42.5 {
+		t.Fatalf("exposed gauge func = %v, want 42.5", got)
 	}
 }
 
@@ -141,7 +146,7 @@ func TestRegistryConcurrency(t *testing.T) {
 					// Concurrent registration of the same instruments
 					// and a full exposition pass mid-hammer.
 					r.Counter("hammer_total", "")
-					_ = r.Snapshot()
+					_ = r.WritePrometheus(io.Discard)
 				}
 			}
 		}(w)

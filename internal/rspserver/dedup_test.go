@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"opinions/internal/simclock"
+	"opinions/internal/store"
 	"opinions/internal/world"
 )
 
@@ -113,14 +114,14 @@ func TestDedupLedgerSurvivesSnapshot(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/api/upload", req, nil); resp.StatusCode != 202 {
 		t.Fatalf("first delivery status %d", resp.StatusCode)
 	}
-	snap := srv.Snapshot()
+	snap := srv.Store().Snapshot()
 
 	srv2, ts2 := testServer(t)
 	if err := srv2.Store().Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if srv2.DedupLen() != 1 {
-		t.Fatalf("restored ledger holds %d keys, want 1", srv2.DedupLen())
+	if got := srv2.Store().Ledger().Len(); got != 1 {
+		t.Fatalf("restored ledger holds %d keys, want 1", got)
 	}
 	redeliver := req
 	redeliver.Token = fetchToken(t, ts2.URL, "dev-snap")
@@ -139,10 +140,13 @@ func TestDedupLedgerBounded(t *testing.T) {
 	catalog := []*world.Entity{
 		{ID: "a", Service: world.Yelp, Zip: "z", Category: "c", Name: "A", Quality: 3},
 	}
-	srv, err := New(Config{
-		Catalog: catalog, Clock: simclock.NewSim(simclock.Epoch),
-		KeyBits: 1024, DedupCapacity: 4,
-	})
+	clock := simclock.NewSim(simclock.Epoch)
+	st, err := store.Open(store.Options{Clock: clock, DedupCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv, err := New(Config{Catalog: catalog, Clock: clock, KeyBits: 1024, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestDedupLedgerBounded(t *testing.T) {
 			t.Fatalf("upload %d status %d", i, resp.StatusCode)
 		}
 	}
-	if got := srv.DedupLen(); got != 4 {
+	if got := srv.Store().Ledger().Len(); got != 4 {
 		t.Fatalf("ledger holds %d keys, want capacity 4", got)
 	}
 	// The newest key is still deduplicated; the evicted oldest one has

@@ -176,6 +176,9 @@ func WithMaxInFlight(n int, retryAfter time.Duration) Middleware {
 // grinding; the anonymous upload path is *already* limited by blind
 // tokens, which rate-limit without identifying, so operators typically
 // set this well above the token rate.
+//
+// All hosts share one fixed window: when it rolls, every count is
+// dropped with it, so the per-host table never outlives one window.
 func WithRateLimit(ratePerWindow int, window time.Duration, clock simclock.Clock) Middleware {
 	if ratePerWindow <= 0 {
 		ratePerWindow = 300
@@ -186,12 +189,12 @@ func WithRateLimit(ratePerWindow int, window time.Duration, clock simclock.Clock
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	type bucket struct {
-		windowStart time.Time
-		n           int
-	}
-	var mu sync.Mutex
-	buckets := map[string]*bucket{}
+	retryAfter := strconv.Itoa(int((window + time.Second - 1) / time.Second))
+	var (
+		mu          sync.Mutex
+		windowStart = clock.Now()
+		counts      = map[string]int{}
+	)
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -200,18 +203,17 @@ func WithRateLimit(ratePerWindow int, window time.Duration, clock simclock.Clock
 			}
 			now := clock.Now()
 			mu.Lock()
-			b := buckets[host]
-			if b == nil || now.Sub(b.windowStart) >= window {
-				b = &bucket{windowStart: now}
-				buckets[host] = b
+			if now.Sub(windowStart) >= window {
+				windowStart = now
+				counts = map[string]int{}
 			}
-			b.n++
-			over := b.n > ratePerWindow
+			counts[host]++
+			over := counts[host] > ratePerWindow
 			mu.Unlock()
 			if over {
 				metricRateLimited.Inc()
-				w.Header().Set("Retry-After", window.String())
-				http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+				w.Header().Set("Retry-After", retryAfter)
+				writeErr(w, http.StatusTooManyRequests, errors.New("rate limit exceeded"))
 				return
 			}
 			next.ServeHTTP(w, r)

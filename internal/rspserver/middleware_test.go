@@ -70,8 +70,21 @@ func TestWithRateLimit(t *testing.T) {
 			t.Fatalf("request %d status %d", i, s)
 		}
 	}
-	if s := status(); s != http.StatusTooManyRequests {
-		t.Fatalf("4th request status %d, want 429", s)
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("4th request status %d, want 429", resp.StatusCode)
+	}
+	// RFC 9110 §10.2.3: delay-seconds is a non-negative integer.
+	if got := resp.Header.Get("Retry-After"); got != "60" {
+		t.Fatalf("Retry-After = %q, want \"60\"", got)
+	}
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("429 body is not an ErrorResponse: %+v, %v", e, err)
 	}
 	// Window rollover refills.
 	clock.Advance(61 * time.Second)

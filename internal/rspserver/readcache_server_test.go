@@ -216,7 +216,7 @@ func TestRestoreSnapshotFlushesCache(t *testing.T) {
 	srv, ts := testServer(t)
 	var before WireResult
 	getJSON(t, ts.URL+"/api/entity?key=yelp/a", &before)
-	snap := srv.Snapshot()
+	snap := srv.Store().Snapshot()
 
 	resp := postJSON(t, ts.URL+"/api/reviews", PostReviewRequest{Entity: "yelp/a", Author: "bob", Rating: 4, Text: "good"}, nil)
 	if resp.StatusCode != 201 {

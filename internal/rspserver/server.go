@@ -35,7 +35,6 @@ import (
 	"opinions/internal/search"
 	"opinions/internal/simclock"
 	"opinions/internal/stats"
-	"opinions/internal/storage"
 	"opinions/internal/store"
 	"opinions/internal/world"
 )
@@ -73,11 +72,6 @@ type Config struct {
 	// PrivacySeed makes the noise deterministic for tests; 0 seeds from
 	// the key generation entropy.
 	PrivacySeed int64
-	// DedupCapacity bounds the exactly-once upload ledger (number of
-	// idempotency keys remembered; default 65536). Older keys evict FIFO;
-	// an evicted key degrades that upload to at-least-once, never loss.
-	// Ignored when Store is supplied (the store owns the ledger).
-	DedupCapacity int
 	// Store, when non-nil, is the durable state layer every mutation
 	// commits through — typically store.Open with a WAL directory, after
 	// recovery. Nil builds a memory-only store: same commit interface,
@@ -139,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 	st := cfg.Store
 	if st == nil {
 		var err error
-		st, err = store.Open(store.Options{Clock: cfg.Clock, DedupCapacity: cfg.DedupCapacity})
+		st, err = store.Open(store.Options{Clock: cfg.Clock})
 		if err != nil {
 			return nil, fmt.Errorf("rspserver: %w", err)
 		}
@@ -336,9 +330,6 @@ func (s *Server) Catalog() []*world.Entity { return s.catalog }
 
 // Issuer returns the token issuer.
 func (s *Server) Issuer() *blindsig.Issuer { return s.issuer }
-
-// Redeemer returns the token redeemer.
-func (s *Server) Redeemer() *blindsig.Redeemer { return s.redeemer }
 
 // Attestor returns the attestation verifier, or nil when attestation is
 // not enforced.
@@ -847,10 +838,6 @@ func (s *Server) PostReview(entity, author string, rating float64, text string) 
 	return rec.Result().(reviews.Review), nil
 }
 
-// DedupLen reports the number of idempotency keys the exactly-once
-// ledger currently holds (tests and operational introspection).
-func (s *Server) DedupLen() int { return s.st.Ledger().Len() }
-
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
@@ -933,14 +920,6 @@ func (s *Server) Retrain() (*inference.ModelSet, error) {
 // Models returns the current model set, or nil.
 func (s *Server) Models() *inference.ModelSet { return s.st.Models() }
 
-// Model returns the current global model, or nil.
-func (s *Server) Model() *inference.Model {
-	if m := s.st.Models(); m != nil {
-		return m.Global
-	}
-	return nil
-}
-
 // TrainingPairs returns how many volunteered examples are stored.
 func (s *Server) TrainingPairs() int { return s.st.TrainingPairs() }
 
@@ -991,11 +970,6 @@ func (s *Server) FraudSweep() (int, int, error) {
 	}
 	return len(all), len(discarded), nil
 }
-
-// Snapshot captures the full server state for persistence. The copy is
-// taken under the store's commit lock for a consistent cut; callers
-// encode it (storage.Write/SaveFile) outside any lock.
-func (s *Server) Snapshot() *storage.Snapshot { return s.st.Snapshot() }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

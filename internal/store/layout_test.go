@@ -210,7 +210,7 @@ func TestStripeWidthShrinkRefusedWithSegments(t *testing.T) {
 }
 
 // TestStripeWidthChangeAfterCompaction: compacting at the old width
-// retires all segments, after which a different -commit-stripes is
+// retires all segments, after which a different stripe count is
 // legal — every lane restarts at the old vector's maximum.
 func TestStripeWidthChangeAfterCompaction(t *testing.T) {
 	dir := t.TempDir()

@@ -576,7 +576,7 @@ func scanLane(laneIdx, nstripes int, segs []segmentInfo, base, foldLimit uint64,
 			off += frameHeaderLen + int64(len(payload))
 			if seq <= base {
 				if seq > foldLimit {
-					return fmt.Errorf("store: stripe %d record %d in %s predates the adopted stripe geometry; compact at the previous width before changing -commit-stripes", laneIdx, seq, seg.path)
+					return fmt.Errorf("store: stripe %d record %d in %s predates the adopted stripe geometry; compact at the previous width before changing the stripe count", laneIdx, seq, seg.path)
 				}
 				return nil // already folded into the snapshot
 			}

@@ -1,12 +1,16 @@
 #!/bin/sh
-# verify.sh — the full pre-merge gate: build, vet, tests, race tests,
-# and gofmt cleanliness. Run via `make verify` or directly.
+# verify.sh — the full pre-merge gate: build, the quickstart example,
+# vet, tests, race tests, and gofmt cleanliness. Run via `make verify` or directly.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+# The examples are built above but only a run shows they still work.
+echo "==> go run ./examples/quickstart"
+go run ./examples/quickstart >/dev/null
 
 echo "==> go vet ./..."
 go vet ./...
