@@ -34,11 +34,6 @@ type DeployConfig struct {
 	Retention time.Duration
 }
 
-// DefaultDeployConfig is the scale most experiments use.
-func DefaultDeployConfig() DeployConfig {
-	return DeployConfig{Seed: 1, Users: 150, Days: 90}
-}
-
 // Deployment is a fully wired simulated rollout: city, simulator, RSP
 // server, and one device agent per user.
 type Deployment struct {

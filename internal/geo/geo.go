@@ -65,16 +65,3 @@ func (r Rect) Contains(p Point) bool {
 	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat &&
 		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
 }
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
-}
-
-// RectAround returns a Rect approximately centered on p whose half-width
-// and half-height are radius meters.
-func RectAround(p Point, radius float64) Rect {
-	ne := Offset(p, radius, radius)
-	sw := Offset(p, -radius, -radius)
-	return Rect{MinLat: sw.Lat, MinLon: sw.Lon, MaxLat: ne.Lat, MaxLon: ne.Lon}
-}

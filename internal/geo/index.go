@@ -116,8 +116,3 @@ func (ix *Index) Nearest(p Point, maxRadius float64) (Neighbor, bool) {
 		}
 	}
 }
-
-// CountWithin returns the number of items within radius meters of p.
-func (ix *Index) CountWithin(p Point, radius float64) int {
-	return len(ix.Within(p, radius))
-}

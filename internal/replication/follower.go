@@ -93,9 +93,6 @@ func (f *Follower) Promoted() bool { return f.promoted.Load() }
 // Connected reports whether a session to the leader is live.
 func (f *Follower) Connected() bool { return f.connected.Load() }
 
-// LeaderSeq is the highest sequence the leader has advertised.
-func (f *Follower) LeaderSeq() uint64 { return f.leaderSeq.Load() }
-
 // Lag is how many leader commits this follower has not yet applied.
 func (f *Follower) Lag() uint64 {
 	if ls, mine := f.leaderSeq.Load(), f.st.Seq(); ls > mine {

@@ -233,7 +233,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 					"remote", conn.RemoteAddr(), "lagged", sub.Lagged())
 				return
 			}
-			if err := l.streamFrame(bw, last, f); err != nil {
+			if err := streamFrame(bw, last, f); err != nil {
 				return
 			}
 			// Drain whatever else is buffered before paying the flush.
@@ -244,7 +244,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 					if !ok {
 						break drain
 					}
-					if err := l.streamFrame(bw, last, f); err != nil {
+					if err := streamFrame(bw, last, f); err != nil {
 						return
 					}
 				default:
@@ -266,48 +266,39 @@ func (l *Leader) serveConn(conn net.Conn) {
 }
 
 // streamFrame ships one live frame, keeping last — the per-stripe
-// vector already delivered — contiguous. A barrier frame advances
-// every stripe at once; it travels when every lane sits exactly one
-// short of the barrier's vector, is skipped when the whole vector was
-// already delivered during catch-up, and anything in between is a
-// stream gap (the session restarts into a fresh catch-up).
-func (l *Leader) streamFrame(bw *bufio.Writer, last []uint64, f store.Frame) error {
-	if f.Stripe == store.BarrierStripe {
-		delivered := 0
-		for i, want := range f.Seqs {
-			if last[i] >= want {
-				delivered++
-			}
-		}
-		if delivered == len(f.Seqs) {
-			return nil // already delivered during catch-up
-		}
-		if delivered != 0 {
-			return fmt.Errorf("replication: stream gap: barrier %v partially delivered at %v", f.Seqs, last)
-		}
-		for i, want := range f.Seqs {
-			if last[i] != want-1 {
-				return fmt.Errorf("replication: stream gap: have %d in stripe %d, barrier wants %d", last[i], i, want)
-			}
-		}
-		if err := writeFrameMsg(bw, wireBarrierStripe, f.Seqs[0], f.Payload); err != nil {
-			return err
-		}
-		copy(last, f.Seqs)
-		metricFrames.Inc()
-		metricBytes.Add(uint64(len(f.Payload)))
+// vector already delivered — contiguous by store.FramePosition: a
+// frame already delivered during catch-up is skipped, the next one
+// travels, and anything else is a stream gap (the session restarts into
+// a fresh catch-up). A barrier frame is placed against every stripe at
+// once.
+func streamFrame(bw *bufio.Writer, last []uint64, f store.Frame) error {
+	have, want := last, f.Seqs
+	if f.Stripe != store.BarrierStripe {
+		have, want = last[f.Stripe:f.Stripe+1], []uint64{f.Seq}
+	}
+	switch store.FramePosition(have, want) {
+	case store.FrameDup:
 		return nil
+	case store.FrameGap:
+		return fmt.Errorf("replication: stream gap: have %v, next live frame wants %v", have, want)
 	}
-	if f.Seq <= last[f.Stripe] {
-		return nil // already delivered during catch-up
-	}
-	if f.Seq != last[f.Stripe]+1 {
-		return fmt.Errorf("replication: stream gap: have %d in stripe %d, next live frame %d", last[f.Stripe], f.Stripe, f.Seq)
-	}
-	if err := writeFrameMsg(bw, uint32(f.Stripe), f.Seq, f.Payload); err != nil {
+	if err := writeFrame(bw, f); err != nil {
 		return err
 	}
-	last[f.Stripe] = f.Seq
+	copy(have, want)
+	return nil
+}
+
+// writeFrame puts one store frame on the wire — a barrier under
+// wireBarrierStripe, carrying its stripe-0 sequence — and counts it.
+func writeFrame(bw *bufio.Writer, f store.Frame) error {
+	stripe, seq := uint32(f.Stripe), f.Seq
+	if f.Stripe == store.BarrierStripe {
+		stripe, seq = wireBarrierStripe, f.Seqs[0]
+	}
+	if err := writeFrameMsg(bw, stripe, seq, f.Payload); err != nil {
+		return err
+	}
 	metricFrames.Inc()
 	metricBytes.Add(uint64(len(f.Payload)))
 	return nil
@@ -317,27 +308,20 @@ func (l *Leader) streamFrame(bw *bufio.Writer, last []uint64, f store.Frame) err
 // subscription start, returning the vector written. Frames come from
 // disk when they are still there; otherwise (behind the compaction
 // base in any stripe, or a gap) the follower is re-seeded with a full
-// snapshot.
+// snapshot. "Already holds" is FramePosition's FrameDup: every
+// component at or past the other vector.
 func (l *Leader) catchUp(bw *bufio.Writer, from []uint64, sub *store.FrameSub) ([]uint64, error) {
-	if vecGE(from, l.st.BaseVector()) {
+	if store.FramePosition(from, l.st.BaseVector()) == store.FrameDup {
 		last, err := l.st.ExportFrames(from, func(f store.Frame) error {
-			stripe := uint32(f.Stripe)
-			seq := f.Seq
-			if f.Stripe == store.BarrierStripe {
-				stripe = wireBarrierStripe
-				seq = f.Seqs[0]
-			}
-			if err := writeFrameMsg(bw, stripe, seq, f.Payload); err != nil {
+			if err := writeFrame(bw, f); err != nil {
 				return err
 			}
-			metricFrames.Inc()
-			metricBytes.Add(uint64(len(f.Payload)))
 			if bw.Buffered() > 1<<15 {
 				return bw.Flush()
 			}
 			return nil
 		})
-		if err == nil && vecGE(last, sub.StartVec()) {
+		if err == nil && store.FramePosition(last, sub.StartVec()) == store.FrameDup {
 			return last, nil
 		}
 		if err != nil && !errors.Is(err, store.ErrExportGap) {
@@ -361,16 +345,6 @@ func (l *Leader) catchUp(bw *bufio.Writer, from []uint64, sub *store.FrameSub) (
 	metricSnapshots.Inc()
 	metricBytes.Add(uint64(buf.Len()))
 	return append([]uint64(nil), snap.WALSeqs...), nil
-}
-
-// vecGE reports a >= b componentwise.
-func vecGE(a, b []uint64) bool {
-	for i := range a {
-		if a[i] < b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // readAcks consumes the follower's ack stream, advancing the shared

@@ -3,9 +3,11 @@ package rspserver
 import (
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
+	"opinions/internal/blindsig"
 	"opinions/internal/interaction"
 	"opinions/internal/simclock"
 	"opinions/internal/world"
@@ -114,5 +116,39 @@ func TestDPDisabledIsExact(t *testing.T) {
 	getJSON(t, ts.URL+"/api/entity?key=yelp/a", &res)
 	if res.InferredCount != 7 || res.InferredMean != 3 {
 		t.Fatalf("exact release broken: %d, %v", res.InferredCount, res.InferredMean)
+	}
+}
+
+// TestDPNoiseNotDerivableFromPublicKey: with no PrivacySeed the noise
+// stream must not follow from anything a client can fetch. Two servers
+// sharing one token issuer — and so one public key — release different
+// noisy counts for identical data.
+func TestDPNoiseNotDerivableFromPublicKey(t *testing.T) {
+	issuer, err := blindsig.NewIssuer(512, 50, 24*time.Hour, simclock.NewSim(simclock.Epoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog := []*world.Entity{{ID: "a", Service: world.Yelp, Zip: "z", Category: "cafe", Name: "A"}}
+	releases := func() []int {
+		srv, err := New(Config{Catalog: catalog, Issuer: issuer, Clock: simclock.NewSim(simclock.Epoch), PrivacyEpsilon: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ops, _ := srv.Stores()
+		for i := 0; i < 12; i++ {
+			ops.Add("yelp/a", 4.0)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		counts := make([]int, 50)
+		for i := range counts {
+			var res WireResult
+			getJSON(t, ts.URL+"/api/entity?key=yelp/a", &res)
+			counts[i] = res.InferredCount
+		}
+		return counts
+	}
+	if a, b := releases(), releases(); slices.Equal(a, b) {
+		t.Fatalf("two servers with one public key released the same noisy counts: %v", a)
 	}
 }

@@ -11,6 +11,8 @@ package rspserver
 
 import (
 	"bytes"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,7 +72,7 @@ type Config struct {
 	// released exactly.
 	PrivacyEpsilon float64
 	// PrivacySeed makes the noise deterministic for tests; 0 seeds from
-	// the key generation entropy.
+	// crypto/rand, so no public value predicts the noise stream.
 	PrivacySeed int64
 	// Store, when non-nil, is the durable state layer every mutation
 	// commits through — typically store.Open with a WAL directory, after
@@ -150,7 +152,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PrivacyEpsilon > 0 {
 		seed := cfg.PrivacySeed
 		if seed == 0 {
-			seed = issuer.PublicKey().N.Int64() // arbitrary key-derived entropy
+			var b [8]byte
+			if _, err := rand.Read(b[:]); err != nil {
+				return nil, fmt.Errorf("rspserver: seeding privacy noise: %w", err)
+			}
+			seed = int64(binary.LittleEndian.Uint64(b[:]))
 		}
 		s.dpMech = dp.New(cfg.PrivacyEpsilon, stats.NewRNG(seed))
 	}

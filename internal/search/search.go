@@ -49,10 +49,6 @@ type Result struct {
 	Score float64
 }
 
-// OpinionsPooled is the total evidence behind the result: explicit plus
-// inferred opinions. Experiment E1's coverage metric.
-func (r *Result) OpinionsPooled() int { return r.ReviewCount + r.InferredCount }
-
 // Engine answers queries over a catalog, joining the three evidence
 // stores. All stores may be shared with concurrent writers; Engine only
 // reads.

@@ -78,9 +78,6 @@ func TestInferredOpinionsBoostRanking(t *testing.T) {
 	if got[0].InferredCount != 30 {
 		t.Fatalf("InferredCount = %d", got[0].InferredCount)
 	}
-	if got[0].OpinionsPooled() != 31 {
-		t.Fatalf("OpinionsPooled = %d", got[0].OpinionsPooled())
-	}
 }
 
 func TestDescribeIncludesAggregate(t *testing.T) {

@@ -127,34 +127,6 @@ func (g *RNG) Zipf(n int, s float64) int {
 	return int(z.Uint64()) + 1
 }
 
-// Poisson returns a sample from Poisson(lambda) using Knuth's method for
-// small lambda and a normal approximation above 30.
-func (g *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		v := g.Normal(lambda, math.Sqrt(lambda))
-		if v < 0 {
-			return 0
-		}
-		return int(math.Round(v))
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= g.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Shuffle randomly permutes n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit used throughout
 // the repository: empirical CDFs and quantiles, histograms with linear or
-// logarithmic bins, correlation, Kolmogorov–Smirnov distance, streaming
-// moments, and deterministic samplers for the heavy-tailed distributions
-// that review counts and user activity follow.
+// logarithmic bins, correlation, mean absolute error, and deterministic
+// samplers for the heavy-tailed distributions that review counts and
+// user activity follow.
 //
 // Everything here is pure computation over float64 slices; no package in
 // this repository does statistics any other way, so experiment outputs
@@ -18,62 +18,6 @@ import (
 
 // ErrEmpty is returned by reductions that are undefined on empty input.
 var ErrEmpty = errors.New("stats: empty input")
-
-// Summary holds the basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	P25    float64
-	P75    float64
-	P90    float64
-	P99    float64
-	Stddev float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty when xs is
-// empty.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = quantileSorted(sorted, 0.5)
-	s.P25 = quantileSorted(sorted, 0.25)
-	s.P75 = quantileSorted(sorted, 0.75)
-	s.P90 = quantileSorted(sorted, 0.90)
-	s.P99 = quantileSorted(sorted, 0.99)
-	return s, nil
-}
-
-// String renders the summary as a single human-readable line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g p25=%.3g med=%.3g p75=%.3g p90=%.3g p99=%.3g max=%.3g mean=%.3g sd=%.3g",
-		s.N, s.Min, s.P25, s.Median, s.P75, s.P90, s.P99, s.Max, s.Mean, s.Stddev)
-}
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It returns ErrEmpty for empty
@@ -148,20 +92,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt evaluates the empirical CDF of xs at v: the fraction of samples ≤ v.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // FractionAtLeast returns the fraction of samples ≥ v.
 func FractionAtLeast(xs []float64, v float64) float64 {
 	if len(xs) == 0 {
@@ -174,41 +104,6 @@ func FractionAtLeast(xs []float64, v float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// KS returns the Kolmogorov–Smirnov distance between the empirical
-// distributions of a and b: the maximum absolute difference between their
-// CDFs. It returns ErrEmpty if either sample is empty.
-func KS(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmpty
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	var i, j int
-	var d float64
-	for i < len(sa) && j < len(sb) {
-		var v float64
-		if sa[i] <= sb[j] {
-			v = sa[i]
-		} else {
-			v = sb[j]
-		}
-		for i < len(sa) && sa[i] <= v {
-			i++
-		}
-		for j < len(sb) && sb[j] <= v {
-			j++
-		}
-		fa := float64(i) / float64(len(sa))
-		fb := float64(j) / float64(len(sb))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d, nil
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired
@@ -336,31 +231,6 @@ func (h *Histogram) Total() int {
 	return t
 }
 
-// Fractions returns Counts normalized by Total. Bins of an empty
-// histogram are all zero.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	t := h.Total()
-	if t == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(t)
-	}
-	return out
-}
-
-// IntCounts tallies non-negative integer observations (e.g. number of
-// visits) into a map from value to count. Values are rounded to the
-// nearest integer.
-func IntCounts(xs []float64) map[int]int {
-	m := make(map[int]int, len(xs))
-	for _, x := range xs {
-		m[int(math.Round(x))]++
-	}
-	return m
-}
-
 // MAE returns the mean absolute error between predictions and truth.
 func MAE(pred, truth []float64) (float64, error) {
 	if len(pred) != len(truth) {
@@ -374,20 +244,4 @@ func MAE(pred, truth []float64) (float64, error) {
 		s += math.Abs(pred[i] - truth[i])
 	}
 	return s / float64(len(pred)), nil
-}
-
-// RMSE returns the root mean squared error between predictions and truth.
-func RMSE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred))), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -30,10 +31,10 @@ import (
 // the retry is absorbed by the idempotency ledger.
 var ErrReplicationLag = fmt.Errorf("%w (locally durable; follower acknowledgement timed out)", ErrUnavailable)
 
-// ErrReplicationGap reports a CommitReplicated sequence that does not
-// contiguously extend the local stripe — frames were lost in transit
-// and the session must re-handshake (the leader re-sends or falls back
-// to a snapshot).
+// ErrReplicationGap reports a CommitReplicated frame that does not
+// contiguously extend the local stripes (FramePosition's FrameGap) —
+// frames were lost in transit and the session must re-handshake (the
+// leader re-sends or falls back to a snapshot).
 var ErrReplicationGap = errors.New("store: replicated record out of sequence")
 
 // ErrExportGap reports that frames past the requested vector are no
@@ -57,6 +58,48 @@ type Frame struct {
 	Seq     uint64
 	Seqs    []uint64 // barrier frames only: the per-stripe sequences consumed
 	Payload []byte
+}
+
+// Position is where a frame falls against the sequences a replica
+// already holds; see FramePosition.
+type Position int
+
+const (
+	// FrameDup: every sequence the frame consumes is already held —
+	// redelivery, to be skipped.
+	FrameDup Position = iota
+	// FrameNext: every sequence is exactly one past what is held — the
+	// frame extends the replica contiguously.
+	FrameNext
+	// FrameGap: anything else — frames were lost in between, or a
+	// barrier is held in some stripes and not others.
+	FrameGap
+)
+
+// FramePosition is the one rule that places a frame in a replica's
+// stream, on the leader (what a follower session was already sent) and
+// on the follower (what its lanes hold) alike. want is the sequence
+// the frame consumes in each stripe it spans, have the held sequence
+// of those same stripes: a single-stripe frame passes one-element
+// slices, a barrier the full vectors. A barrier delivered in only some
+// stripes is a gap, never a partial duplicate.
+func FramePosition(have, want []uint64) Position {
+	held, next := 0, 0
+	for i, w := range want {
+		switch {
+		case have[i] >= w:
+			held++
+		case have[i] == w-1:
+			next++
+		}
+	}
+	if held == len(want) {
+		return FrameDup
+	}
+	if next == len(want) {
+		return FrameNext
+	}
+	return FrameGap
 }
 
 // FrameSub is a live subscription to the commit stream. Frames arrive
@@ -106,7 +149,7 @@ func (s *Store) SubscribeFrames(buf int) *FrameSub {
 	}
 	sub := &FrameSub{ch: make(chan Frame, buf)}
 	s.lockAll()
-	sub.start = s.seqVectorLocked()
+	sub.start = s.SeqVector()
 	s.subMu.Lock()
 	if s.subs == nil {
 		s.subs = make(map[*FrameSub]struct{})
@@ -130,20 +173,11 @@ func (s *Store) Unsubscribe(sub *FrameSub) {
 	sub.close()
 }
 
-// publishLocked fans one committed single-stripe frame out to
-// subscribers. The caller holds the stripe's lane — publication order
-// within a stripe IS that stripe's commit order. Sends never block: a
-// subscriber with a full buffer is dropped as lagged.
-func (s *Store) publishLocked(stripeIdx int, seq uint64, payload []byte) {
-	s.publish(Frame{Stripe: stripeIdx, Seq: seq, Payload: payload})
-}
-
-// publishBarrierLocked fans a barrier frame out; the caller holds
-// every lane, so the frame is totally ordered against all stripes.
-func (s *Store) publishBarrierLocked(seqs []uint64, payload []byte) {
-	s.publish(Frame{Stripe: BarrierStripe, Seqs: seqs, Payload: payload})
-}
-
+// publish fans one committed frame out to subscribers. The caller
+// holds the frame's lane — every lane for a barrier frame — so
+// publication order within a stripe IS that stripe's commit order, and
+// a barrier is totally ordered against all stripes. Sends never block:
+// a subscriber with a full buffer is dropped as lagged.
 func (s *Store) publish(f Frame) {
 	if s.nsubs.Load() == 0 {
 		return
@@ -234,20 +268,15 @@ func (s *Store) ExportFrames(from []uint64, fn func(f Frame) error) ([]uint64, e
 	}
 	last := append([]uint64(nil), from...)
 	if s.lanes[0].log == nil {
-		for i, ln := range s.lanes {
-			if from[i] < ln.seq.Load() {
-				return last, ErrExportGap
-			}
+		if FramePosition(from, s.SeqVector()) != FrameDup {
+			return last, ErrExportGap
 		}
 		return last, nil
 	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	base := s.BaseVector()
-	for i := range base {
-		if from[i] < base[i] {
-			return last, fmt.Errorf("%w (stripe %d: have %d, oldest on disk follows %d)", ErrExportGap, i, from[i], base[i])
-		}
+	if base := s.BaseVector(); FramePosition(from, base) != FrameDup {
+		return last, fmt.Errorf("%w (have %v, oldest on disk follows %v)", ErrExportGap, from, base)
 	}
 	for _, ln := range s.lanes {
 		if err := ln.log.flush(); err != nil {
@@ -317,7 +346,7 @@ func (s *Store) ExportFrames(from []uint64, fn func(f Frame) error) ([]uint64, e
 			f := &staged[i][cursors[i]]
 			if bar == nil {
 				bar = f
-			} else if !equalSeqs(bar.seqs, f.seqs) {
+			} else if !slices.Equal(bar.seqs, f.seqs) {
 				return last, fmt.Errorf("store: stripes disagree on the next barrier during export (%v vs %v)", bar.seqs, f.seqs)
 			}
 		}
@@ -342,14 +371,16 @@ func (s *Store) ExportFrames(from []uint64, fn func(f Frame) error) ([]uint64, e
 }
 
 // CommitReplicated applies one leader frame at the leader's exact
-// coordinates, appends it to this store's own log, and waits for the
-// fsync — the follower's durability promise is as strong as the
-// leader's, which is what lets an ack stand in for the leader's own
-// disk after failover. A barrier frame (payload carrying stripe_seqs,
-// conventionally delivered with stripeIdx == BarrierStripe) is applied
-// once and logged to every stripe, fsynced everywhere before the call
-// returns. Duplicate delivery (already applied) is a silent no-op; a
-// sequence gap is ErrReplicationGap and the session must re-seed.
+// coordinates through the same lane and barrier commits Commit uses:
+// append to this store's own log and wait for the fsync — the
+// follower's durability promise is as strong as the leader's, which is
+// what lets an ack stand in for the leader's own disk after failover.
+// A barrier frame (payload carrying stripe_seqs, conventionally
+// delivered with stripeIdx == BarrierStripe) is applied once and
+// logged to every stripe, fsynced everywhere before the call returns.
+// Duplicate delivery (already applied) is a silent no-op; a sequence
+// gap, or a barrier held in only some stripes, is ErrReplicationGap and
+// the session must re-seed.
 func (s *Store) CommitReplicated(stripeIdx int, seq uint64, payload []byte) error {
 	if s.failed.Load() {
 		metricStoreUnavailable.Inc()
@@ -360,115 +391,18 @@ func (s *Store) CommitReplicated(stripeIdx int, seq uint64, payload []byte) erro
 		return fmt.Errorf("store: decoding replicated record %d: %w", seq, err)
 	}
 	if rec.StripeSeqs != nil || stripeIdx == BarrierStripe {
-		return s.commitReplicatedBarrier(&rec, payload)
+		if len(rec.StripeSeqs) != len(s.lanes) {
+			return fmt.Errorf("store: replicated barrier spans %d stripes, store has %d", len(rec.StripeSeqs), len(s.lanes))
+		}
+		return s.commitBarrier(&rec, rec.StripeSeqs, payload)
 	}
 	if stripeIdx < 0 || stripeIdx >= len(s.lanes) {
 		return fmt.Errorf("store: replicated record for stripe %d, store has %d stripes", stripeIdx, len(s.lanes))
 	}
-	ln := s.lanes[stripeIdx]
-	ln.lock()
-	if s.closed.Load() {
-		ln.mu.Unlock()
-		metricStoreUnavailable.Inc()
-		return ErrUnavailable
+	if seq == 0 {
+		return fmt.Errorf("store: replicated record for stripe %d has sequence 0", stripeIdx)
 	}
-	cur := ln.seq.Load()
-	if seq <= cur {
-		ln.mu.Unlock()
-		return nil
-	}
-	if seq != cur+1 {
-		ln.mu.Unlock()
-		return fmt.Errorf("%w (stripe %d: have %d, got %d)", ErrReplicationGap, stripeIdx, cur, seq)
-	}
-	rec.Seq = seq
-	if err := s.state.apply(&rec); err != nil {
-		ln.mu.Unlock()
-		return err
-	}
-	ln.seq.Store(seq)
-	s.notifyCommit(&rec)
-	metricStoreReplicated.Inc()
-	if err := s.sealCommit(ln, &rec, payload); err != nil {
-		return err
-	}
-	// A promoted follower may itself lead a chain; without a barrier
-	// installed this is a no-op.
-	return s.AckBarrier(stripeIdx, seq)
-}
-
-// commitReplicatedBarrier applies one replicated barrier record: every
-// lane is acquired, the record applied once, and its copy appended and
-// fsynced in every stripe before the call returns — the follower never
-// acknowledges a barrier it could lose from some stripes.
-func (s *Store) commitReplicatedBarrier(rec *Record, payload []byte) error {
-	seqs := rec.StripeSeqs
-	if len(seqs) != len(s.lanes) {
-		return fmt.Errorf("store: replicated barrier spans %d stripes, store has %d", len(seqs), len(s.lanes))
-	}
-	s.lockAll()
-	if s.closed.Load() {
-		s.unlockAll()
-		metricStoreUnavailable.Inc()
-		return ErrUnavailable
-	}
-	applied, behind := 0, 0
-	for i, ln := range s.lanes {
-		cur := ln.seq.Load()
-		switch {
-		case cur >= seqs[i]:
-			applied++
-		case cur == seqs[i]-1:
-			behind++
-		default:
-			s.unlockAll()
-			return fmt.Errorf("%w (stripe %d: have %d, barrier wants %d)", ErrReplicationGap, i, cur, seqs[i])
-		}
-	}
-	if applied == len(s.lanes) {
-		s.unlockAll()
-		return nil // duplicate delivery
-	}
-	if applied != 0 {
-		// Locally the barrier half-exists — a state this store never
-		// produces itself; only a re-seed restores a coherent timeline.
-		s.unlockAll()
-		return fmt.Errorf("%w (barrier %v partially applied)", ErrReplicationGap, seqs)
-	}
-	rec.Seq = seqs[0]
-	if err := s.state.apply(rec); err != nil {
-		s.unlockAll()
-		return err
-	}
-	for i, ln := range s.lanes {
-		ln.seq.Store(seqs[i])
-	}
-	s.notifyCommit(rec)
-	if s.lanes[0].log != nil {
-		for _, ln := range s.lanes {
-			_, size, err := ln.log.append(seqs[ln.idx], payload)
-			if err != nil {
-				s.unlockAll()
-				s.fail("append", err)
-				return fmt.Errorf("%w (appending barrier record: %v)", ErrUnavailable, err)
-			}
-			ln.met.appends.Inc()
-			ln.met.appendBytes.Add(uint64(frameHeaderLen + len(payload)))
-			ln.met.segmentBytes.Set(size)
-		}
-		for _, ln := range s.lanes {
-			if err := ln.log.flush(); err != nil {
-				s.unlockAll()
-				s.fail("fsync", err)
-				return fmt.Errorf("%w (syncing barrier record: %v)", ErrUnavailable, err)
-			}
-		}
-	}
-	s.publishBarrierLocked(seqs, payload)
-	s.unlockAll()
-	metricStoreReplicated.Inc()
-	metricBarrierCommits.Inc()
-	return s.AckBarrierVec(seqs)
+	return s.commitLane(stripeIdx, seq, &rec, payload)
 }
 
 // barrierFunc gates a commit's acknowledgement on replication progress

@@ -1,9 +1,13 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestSubscribeFramesDeliversCommitsInOrder(t *testing.T) {
@@ -267,5 +271,126 @@ func TestExportReplayMultiStripe(t *testing.T) {
 	}
 	if !equalSeqs(dst.SeqVector(), src.SeqVector()) {
 		t.Fatalf("vector diverged after duplicate replay: %v vs %v", dst.SeqVector(), src.SeqVector())
+	}
+}
+
+// TestFramePosition: the one rule that places a frame against what a
+// replica holds — single frames by one stripe's sequence, barriers by
+// the whole vector. Every barrier row is also delivered through
+// CommitReplicated to a 2-stripe follower brought to have by single
+// frames: a dup is a no-op, next applies the barrier, a gap is refused
+// with ErrReplicationGap and leaves the vector where it was.
+func TestFramePosition(t *testing.T) {
+	cases := []struct {
+		name       string
+		have, want []uint64
+		pos        Position
+	}{
+		{"single/dup", []uint64{3}, []uint64{2}, FrameDup},
+		{"single/dup-equal", []uint64{3}, []uint64{3}, FrameDup},
+		{"single/next", []uint64{3}, []uint64{4}, FrameNext},
+		{"single/gap", []uint64{3}, []uint64{5}, FrameGap},
+		{"barrier/fully-delivered", []uint64{2, 3}, []uint64{2, 3}, FrameDup},
+		{"barrier/partially-delivered", []uint64{2, 2}, []uint64{2, 3}, FrameGap},
+		{"barrier/one-short-everywhere", []uint64{1, 2}, []uint64{2, 3}, FrameNext},
+		{"barrier/two-short", []uint64{1, 1}, []uint64{2, 3}, FrameGap},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := FramePosition(c.have, c.want); got != c.pos {
+				t.Fatalf("FramePosition(%v, %v) = %d, want %d", c.have, c.want, got, c.pos)
+			}
+			if len(c.want) != 2 {
+				return
+			}
+			f := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 2})
+			defer f.Close()
+			for stripe, n := range c.have {
+				for seq := uint64(1); seq <= n; seq++ {
+					key := fmt.Sprintf("pos-%d-%d", stripe, seq)
+					payload, _ := json.Marshal(uploadRec(key, "ent/x", 4.0, key))
+					if err := f.CommitReplicated(stripe, seq, payload); err != nil {
+						t.Fatalf("bringing stripe %d to %d: %v", stripe, seq, err)
+					}
+				}
+			}
+			var wantErr error
+			wantVec := c.have
+			switch c.pos {
+			case FrameGap:
+				wantErr = ErrReplicationGap
+			case FrameNext:
+				wantVec = c.want
+			}
+			payload, _ := json.Marshal(&Record{Kind: KindSweep, StripeSeqs: c.want})
+			if err := f.CommitReplicated(BarrierStripe, c.want[0], payload); !errors.Is(err, wantErr) {
+				t.Fatalf("barrier %v at %v = %v, want %v", c.want, c.have, err, wantErr)
+			}
+			if got := f.SeqVector(); !equalSeqs(got, wantVec) {
+				t.Fatalf("vector after barrier = %v, want %v", got, wantVec)
+			}
+		})
+	}
+}
+
+// TestReplicatedBarriersCommitLikeLocal: barrier frames taken from a
+// leader go through the same commit as the leader's own barriers — they
+// count toward auto-compaction and raise store_commits_total{kind} and
+// store_barrier_commits_total by one each, as on the leader.
+func TestReplicatedBarriersCommitLikeLocal(t *testing.T) {
+	const n = 4
+	sweeps := metricStoreCommits.With(string(KindSweep))
+	leader := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 2})
+	defer leader.Close()
+	sweeps0, barriers0 := sweeps.Value(), metricBarrierCommits.Value()
+	for i := 0; i < n; i++ {
+		if err := leader.Commit(&Record{Kind: KindSweep, Dropped: []string{fmt.Sprintf("gone-%d", i)}}); err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+	}
+	if d, b := sweeps.Value()-sweeps0, metricBarrierCommits.Value()-barriers0; d != n || b != n {
+		t.Fatalf("leader: %d sweeps raised the sweep counter by %d and the barrier counter by %d", n, d, b)
+	}
+	var frames []Frame
+	if _, err := leader.ExportFrames(make([]uint64, 2), func(f Frame) error {
+		frames = append(frames, f)
+		return nil
+	}); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+
+	dir := t.TempDir()
+	follower := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: 2, Stripes: 2})
+	sweeps0, barriers0 = sweeps.Value(), metricBarrierCommits.Value()
+	replicated0 := metricStoreReplicated.Value()
+	for _, f := range frames {
+		if err := follower.CommitReplicated(f.Stripe, f.Seq, f.Payload); err != nil {
+			t.Fatalf("replicating %v: %v", f.Seqs, err)
+		}
+	}
+	if len(frames) != n {
+		t.Fatalf("exported %d frames, want %d barriers", len(frames), n)
+	}
+	if d, b, r := sweeps.Value()-sweeps0, metricBarrierCommits.Value()-barriers0, metricStoreReplicated.Value()-replicated0; d != n || b != n || r != n {
+		t.Fatalf("follower: %d replicated sweeps raised the sweep counter by %d, the barrier counter by %d, the replicated counter by %d", n, d, b, r)
+	}
+	// The fold runs on a background goroutine; give it a bounded moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot after %d replicated barriers with CompactEvery 2", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	re := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 2})
+	defer re.Close()
+	if !equalSeqs(re.SeqVector(), leader.SeqVector()) {
+		t.Fatalf("reopened follower at %v, leader at %v", re.SeqVector(), leader.SeqVector())
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -325,20 +326,10 @@ func Open(opts Options) (*Store, error) {
 	// after a width change every lane restarts at the old vector's
 	// maximum, and any surviving frame from the old geometry in between
 	// is refused rather than silently treated as folded.
-	base := make([]uint64, nstripes)
+	base := s.adoptVector(snapVec)
 	foldLimit := make([]uint64, nstripes)
-	switch {
-	case len(snapVec) == nstripes:
-		copy(base, snapVec)
-		copy(foldLimit, snapVec)
-	case len(snapVec) > 0:
-		m := maxSeq(snapVec)
-		for i := range base {
-			base[i] = m
-			if i < len(snapVec) {
-				foldLimit[i] = snapVec[i]
-			}
-		}
+	copy(foldLimit, snapVec)
+	if len(snapVec) > 0 && len(snapVec) != nstripes {
 		logger.Warn("wal: commit-stripe geometry changed",
 			"snapshot_stripes", len(snapVec), "stripes", nstripes)
 	}
@@ -383,7 +374,7 @@ func Open(opts Options) (*Store, error) {
 				continue
 			}
 			tail := frames[i][n-1]
-			if tail.rec.StripeSeqs == nil || barrierComplete(tail.rec.StripeSeqs, end) {
+			if tail.rec.StripeSeqs == nil || FramePosition(end, tail.rec.StripeSeqs) == FrameDup {
 				continue
 			}
 			if err := os.Truncate(tail.path, tail.off); err != nil {
@@ -402,7 +393,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	for i := range frames {
 		for _, f := range frames[i] {
-			if f.rec.StripeSeqs != nil && !barrierComplete(f.rec.StripeSeqs, end) {
+			if f.rec.StripeSeqs != nil && FramePosition(end, f.rec.StripeSeqs) != FrameDup {
 				return nil, fmt.Errorf("store: barrier record %d in %s has acknowledged successors but is missing from other stripes", f.seq, f.path)
 			}
 		}
@@ -452,7 +443,7 @@ func Open(opts Options) (*Store, error) {
 				f := frames[i][cursors[i]]
 				if bar == nil {
 					bar = f.rec
-				} else if !equalSeqs(bar.StripeSeqs, f.rec.StripeSeqs) {
+				} else if !slices.Equal(bar.StripeSeqs, f.rec.StripeSeqs) {
 					return nil, fmt.Errorf("store: stripes disagree on the next barrier (%v vs %v)", bar.StripeSeqs, f.rec.StripeSeqs)
 				}
 			}
@@ -607,40 +598,6 @@ func scanLane(laneIdx, nstripes int, segs []segmentInfo, base, foldLimit uint64,
 	return frames, maxGen, nil
 }
 
-// barrierComplete reports whether a barrier's copy reached disk in
-// every stripe: each stripe's durable end covers the sequence the
-// barrier was assigned there.
-func barrierComplete(seqs, end []uint64) bool {
-	for i, want := range seqs {
-		if end[i] < want {
-			return false
-		}
-	}
-	return true
-}
-
-func equalSeqs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func maxSeq(v []uint64) uint64 {
-	var m uint64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // route maps a record to its commit stripe. Uploads and reviews route
 // by entity key — the same key the read stores stripe on, so one
 // entity's mutation order is total within its stripe. Training pairs
@@ -667,15 +624,13 @@ func (s *Store) route(rec *Record) int {
 func barrierKind(k Kind) bool { return k == KindRetrain || k == KindSweep }
 
 // Commit applies one record and makes it durable. Single-stripe
-// records take only their stripe's lane: marshal outside the lock,
-// then under the lane lock apply to memory and append to that stripe's
-// log, then wait (outside the lock) for the group fsync that covers
-// the record — commits on other stripes proceed in parallel
-// throughout. Retrain and sweep records commit as barriers (see
-// commitBarrier). An apply error leaves the log untouched; a log error
-// marks the store failed — memory may then be ahead of disk, so every
-// later Commit refuses with ErrUnavailable until a restart re-derives
-// state from disk.
+// records are marshaled outside any lock and committed on their
+// stripe's lane (see commitLane) — commits on other stripes proceed in
+// parallel throughout. Retrain and sweep records commit as barriers
+// (see commitBarrier). An apply error leaves the log untouched; a log
+// error marks the store failed — memory may then be ahead of disk, so
+// every later Commit refuses with ErrUnavailable until a restart
+// re-derives state from disk.
 func (s *Store) Commit(rec *Record) error {
 	if s.failed.Load() {
 		metricStoreUnavailable.Inc()
@@ -688,22 +643,45 @@ func (s *Store) Commit(rec *Record) error {
 		rec.Review.ID = s.state.reviews.NextID()
 	}
 	if barrierKind(rec.Kind) {
-		return s.commitBarrier(rec)
+		return s.commitBarrier(rec, nil, nil)
 	}
-	ln := s.lanes[s.route(rec)]
+	idx := s.route(rec)
 	var payload []byte
-	if ln.log != nil || s.nsubs.Load() > 0 {
+	if s.lanes[idx].log != nil || s.nsubs.Load() > 0 {
 		var err error
 		payload, err = json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("store: encoding record: %w", err)
 		}
 	}
+	return s.commitLane(idx, 0, rec, payload)
+}
+
+// commitLane commits one single-stripe record on lane idx: under the
+// lane lock, apply it to memory, append it to the stripe's log and
+// publish it; then wait outside the lock for the group fsync that
+// covers it, kick compaction, and run the replication barrier. at is
+// the sequence a leader assigned the frame (CommitReplicated), judged
+// by FramePosition — a frame already held is a silent no-op, one past
+// a gap is ErrReplicationGap; zero takes the lane's next sequence
+// (Commit). A log error latches the store failed.
+func (s *Store) commitLane(idx int, at uint64, rec *Record, payload []byte) error {
+	ln := s.lanes[idx]
 	ln.lock()
 	if s.closed.Load() {
 		ln.mu.Unlock()
 		metricStoreUnavailable.Inc()
 		return ErrUnavailable
+	}
+	cur := ln.seq.Load()
+	if at != 0 {
+		if pos := FramePosition([]uint64{cur}, []uint64{at}); pos != FrameNext {
+			ln.mu.Unlock()
+			if pos == FrameGap {
+				return fmt.Errorf("%w (stripe %d: have %d, got %d)", ErrReplicationGap, idx, cur, at)
+			}
+			return nil
+		}
 	}
 	if payload == nil && s.nsubs.Load() > 0 {
 		// A subscriber attached between the marshal check and the lock.
@@ -711,20 +689,47 @@ func (s *Store) Commit(rec *Record) error {
 		// the same bytes the log path would have written.
 		payload, _ = json.Marshal(rec)
 	}
-	rec.Seq = ln.seq.Load() + 1
+	rec.Seq = cur + 1
 	if err := s.state.apply(rec); err != nil {
 		ln.mu.Unlock()
 		return err
 	}
 	ln.seq.Store(rec.Seq)
 	s.notifyCommit(rec)
-	if err := s.sealCommit(ln, rec, payload); err != nil {
-		return err
+	var b *walBatch
+	if ln.log != nil {
+		var size int64
+		var err error
+		b, size, err = ln.log.append(rec.Seq, payload)
+		if err != nil {
+			ln.mu.Unlock()
+			s.fail("append", err)
+			return fmt.Errorf("%w (appending record %d: %v)", ErrUnavailable, rec.Seq, err)
+		}
+		ln.met.appends.Inc()
+		ln.met.appendBytes.Add(uint64(frameHeaderLen + len(payload)))
+		ln.met.segmentBytes.Set(size)
 	}
-	// With a replication barrier installed (semi-sync leader), hold the
-	// ack until a follower has the record too; on timeout the commit
-	// stays locally durable and the caller sees ErrReplicationLag.
-	return s.AckBarrier(ln.idx, rec.Seq)
+	if payload != nil {
+		s.publish(Frame{Stripe: idx, Seq: rec.Seq, Payload: payload})
+	}
+	ln.mu.Unlock()
+	metricStoreCommits.With(string(rec.Kind)).Inc()
+	if at != 0 {
+		metricStoreReplicated.Inc()
+	}
+	if b != nil {
+		if err := b.wait(); err != nil {
+			s.fail("fsync", err)
+			return fmt.Errorf("%w (syncing record %d: %v)", ErrUnavailable, rec.Seq, err)
+		}
+		s.compactDue()
+	}
+	// With a replication barrier installed (semi-sync leader, or a
+	// promoted follower leading a chain), hold the ack until a follower
+	// has the record too; on timeout the commit stays locally durable
+	// and the caller sees ErrReplicationLag.
+	return s.AckBarrier(idx, rec.Seq)
 }
 
 // commitBarrier commits one cross-stripe record: acquire every lane in
@@ -737,16 +742,31 @@ func (s *Store) Commit(rec *Record) error {
 // incomplete barrier is always a tail. Barriers are rare
 // administrative mutations (retrains, fraud sweeps); stalling the
 // pipeline for one fsync wave is the price of a global ordering point.
-func (s *Store) commitBarrier(rec *Record) error {
+//
+// at is the vector a leader assigned the barrier (CommitReplicated),
+// with payload its wire form; FramePosition judges it against the
+// local vector, so a barrier already held is a silent no-op and one
+// held in only some stripes, or past a gap, is ErrReplicationGap. A
+// nil at stamps the next vector and marshals under the locks.
+func (s *Store) commitBarrier(rec *Record, at []uint64, payload []byte) error {
 	s.lockAll()
 	if s.closed.Load() {
 		s.unlockAll()
 		metricStoreUnavailable.Inc()
 		return ErrUnavailable
 	}
-	seqs := make([]uint64, len(s.lanes))
-	for i, ln := range s.lanes {
-		seqs[i] = ln.seq.Load() + 1
+	seqs := s.SeqVector()
+	if at != nil {
+		if pos := FramePosition(seqs, at); pos != FrameNext {
+			s.unlockAll()
+			if pos == FrameGap {
+				return fmt.Errorf("%w (barrier %v, have %v)", ErrReplicationGap, at, seqs)
+			}
+			return nil
+		}
+	}
+	for i := range seqs {
+		seqs[i]++
 	}
 	rec.StripeSeqs = seqs
 	rec.Seq = seqs[0]
@@ -760,8 +780,7 @@ func (s *Store) commitBarrier(rec *Record) error {
 	}
 	s.notifyCommit(rec)
 	hasLog := s.lanes[0].log != nil
-	var payload []byte
-	if hasLog || s.nsubs.Load() > 0 {
+	if payload == nil && (hasLog || s.nsubs.Load() > 0) {
 		var err error
 		payload, err = json.Marshal(rec)
 		if err != nil {
@@ -791,54 +810,26 @@ func (s *Store) commitBarrier(rec *Record) error {
 		}
 	}
 	if payload != nil {
-		s.publishBarrierLocked(seqs, payload)
+		s.publish(Frame{Stripe: BarrierStripe, Seqs: seqs, Payload: payload})
 	}
 	s.unlockAll()
 	metricStoreCommits.With(string(rec.Kind)).Inc()
 	metricBarrierCommits.Inc()
-	if hasLog && s.compactEvery > 0 && s.sinceCompact.Add(1) >= int64(s.compactEvery) {
-		s.maybeCompact()
+	if at != nil {
+		metricStoreReplicated.Inc()
+	}
+	if hasLog {
+		s.compactDue()
 	}
 	return s.AckBarrierVec(seqs)
 }
 
-// sealCommit finishes a single-stripe commit whose record is already
-// applied under the lane lock (held on entry, released here): append
-// the frame to the stripe's log, publish it to subscribers, then wait
-// outside the lock for the group fsync and kick compaction. A log
-// error latches the store failed.
-func (s *Store) sealCommit(ln *lane, rec *Record, payload []byte) error {
-	var b *walBatch
-	var trigger bool
-	if ln.log != nil {
-		var size int64
-		var err error
-		b, size, err = ln.log.append(rec.Seq, payload)
-		if err != nil {
-			ln.mu.Unlock()
-			s.fail("append", err)
-			return fmt.Errorf("%w (appending record %d: %v)", ErrUnavailable, rec.Seq, err)
-		}
-		ln.met.appends.Inc()
-		ln.met.appendBytes.Add(uint64(frameHeaderLen + len(payload)))
-		ln.met.segmentBytes.Set(size)
-		trigger = s.compactEvery > 0 && s.sinceCompact.Add(1) >= int64(s.compactEvery)
-	}
-	if payload != nil {
-		s.publishLocked(ln.idx, rec.Seq, payload)
-	}
-	ln.mu.Unlock()
-	metricStoreCommits.With(string(rec.Kind)).Inc()
-	if b != nil {
-		if err := b.wait(); err != nil {
-			s.fail("fsync", err)
-			return fmt.Errorf("%w (syncing record %d: %v)", ErrUnavailable, rec.Seq, err)
-		}
-	}
-	if trigger {
+// compactDue counts one logged record toward auto-compaction and kicks
+// a background compaction once CompactEvery records have accumulated.
+func (s *Store) compactDue() {
+	if s.compactEvery > 0 && s.sinceCompact.Add(1) >= int64(s.compactEvery) {
 		s.maybeCompact()
 	}
-	return nil
 }
 
 // fail latches the store unavailable after a durability error.
@@ -867,18 +858,10 @@ func (s *Store) Seq() uint64 {
 }
 
 // SeqVector returns the per-stripe sequence vector. Each lane's value
-// is read atomically; for a cut consistent across stripes, quiesce
+// is read atomically; for a cut consistent across stripes, hold every
+// lane (as barrier commits, snapshots and subscriptions do) or quiesce
 // commits first (followers are quiescent by construction).
 func (s *Store) SeqVector() []uint64 {
-	out := make([]uint64, len(s.lanes))
-	for i, ln := range s.lanes {
-		out[i] = ln.seq.Load()
-	}
-	return out
-}
-
-// seqVectorLocked collects the vector; the caller holds every lane.
-func (s *Store) seqVectorLocked() []uint64 {
 	out := make([]uint64, len(s.lanes))
 	for i, ln := range s.lanes {
 		out[i] = ln.seq.Load()
@@ -923,7 +906,7 @@ func (s *Store) TrainingPairs() int {
 func (s *Store) Snapshot() *storage.Snapshot {
 	s.lockAll()
 	snap := s.state.dump(s.clock.Now())
-	snap.WALSeqs = s.seqVectorLocked()
+	snap.WALSeqs = s.SeqVector()
 	s.unlockAll()
 	return snap
 }
@@ -964,25 +947,21 @@ func (s *Store) Restore(snap *storage.Snapshot) error {
 	if err := s.state.restore(snap); err != nil {
 		return err
 	}
-	want := s.adoptVector(snap)
+	want := s.adoptVector(snap.WALSeqs)
 	for i, ln := range s.lanes {
 		if want[i] > ln.seq.Load() {
 			ln.seq.Store(want[i])
 		}
 	}
-	snap.WALSeqs = s.seqVectorLocked()
+	snap.WALSeqs = s.SeqVector()
 	s.sinceCompact.Store(0)
 	if !hasLog {
 		s.dropSubs(true)
 		s.notifyRestore()
 		return nil
 	}
-	for _, ln := range s.lanes {
-		if err := ln.log.rotate(); err != nil {
-			s.fail("rotate", err)
-			return fmt.Errorf("%w (rotating WAL: %v)", ErrUnavailable, err)
-		}
-		ln.met.segmentBytes.Set(int64(len(segMagic)))
+	if err := s.rotateAll(); err != nil {
+		return err
 	}
 	if err := storage.SaveFile(s.snapPath, snap); err != nil {
 		s.fail("restore", err)
@@ -1002,14 +981,13 @@ func (s *Store) Restore(snap *storage.Snapshot) error {
 // adoptVector maps a snapshot's sequence vector onto this store's
 // stripe geometry: a matching vector is taken as-is, a mismatched one
 // collapses to its maximum in every lane, and an absent one is zero.
-func (s *Store) adoptVector(snap *storage.Snapshot) []uint64 {
-	n := len(s.lanes)
-	out := make([]uint64, n)
+func (s *Store) adoptVector(vec []uint64) []uint64 {
+	out := make([]uint64, len(s.lanes))
 	switch {
-	case len(snap.WALSeqs) == n:
-		copy(out, snap.WALSeqs)
-	case len(snap.WALSeqs) > 0:
-		m := maxSeq(snap.WALSeqs)
+	case len(vec) == len(out):
+		copy(out, vec)
+	case len(vec) > 0:
+		m := slices.Max(vec)
 		for i := range out {
 			out[i] = m
 		}
@@ -1036,22 +1014,16 @@ func (s *Store) Compact() error {
 		return ErrUnavailable
 	}
 	snap := s.state.dump(s.clock.Now())
-	snap.WALSeqs = s.seqVectorLocked()
+	snap.WALSeqs = s.SeqVector()
 	s.sinceCompact.Store(0)
 	olds, err := listSegments(s.dir)
-	if err != nil {
-		s.unlockAll()
-		return err
-	}
-	for _, ln := range s.lanes {
-		if err := ln.log.rotate(); err != nil {
-			s.unlockAll()
-			s.fail("rotate", err)
-			return fmt.Errorf("%w (rotating WAL: %v)", ErrUnavailable, err)
-		}
-		ln.met.segmentBytes.Set(int64(len(segMagic)))
+	if err == nil {
+		err = s.rotateAll()
 	}
 	s.unlockAll()
+	if err != nil {
+		return err
+	}
 
 	if err := storage.SaveFile(s.snapPath, snap); err != nil {
 		return err
@@ -1061,7 +1033,21 @@ func (s *Store) Compact() error {
 	}
 	s.setBase(snap.WALSeqs)
 	metricWALCompactions.Inc()
-	s.logger.Info("wal: compacted", "seq", maxSeq(snap.WALSeqs), "segments_folded", len(olds))
+	s.logger.Info("wal: compacted", "seq", slices.Max(snap.WALSeqs), "segments_folded", len(olds))
+	return nil
+}
+
+// rotateAll starts a fresh segment in every lane; the caller holds
+// every lane. A failure latches the store: the lanes are left half
+// rotated, and only a restart re-derives a consistent log.
+func (s *Store) rotateAll() error {
+	for _, ln := range s.lanes {
+		if err := ln.log.rotate(); err != nil {
+			s.fail("rotate", err)
+			return fmt.Errorf("%w (rotating WAL: %v)", ErrUnavailable, err)
+		}
+		ln.met.segmentBytes.Set(int64(len(segMagic)))
+	}
 	return nil
 }
 

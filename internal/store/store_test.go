@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -42,6 +43,10 @@ func mustOpen(t *testing.T, opts Options) *Store {
 	}
 	return s
 }
+
+func equalSeqs(a, b []uint64) bool { return slices.Equal(a, b) }
+
+func maxSeq(v []uint64) uint64 { return slices.Max(v) }
 
 // sumStripeCounter totals a per-stripe counter family over n stripes.
 func sumStripeCounter(v interface {

@@ -42,12 +42,6 @@ func DefaultEntityCounts() map[string]int {
 	}
 }
 
-// DefaultCityConfig returns the configuration used by most experiments:
-// 400 users in a 16 km city.
-func DefaultCityConfig() CityConfig {
-	return CityConfig{Seed: 1, NumUsers: 400, SpanMeters: 16000}
-}
-
 // City is the behavioural universe: physical entities with locations and
 // phone numbers, and a user population with homes, workplaces and
 // personas.

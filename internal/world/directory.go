@@ -3,7 +3,6 @@ package world
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"opinions/internal/geo"
 	"opinions/internal/stats"
@@ -207,15 +206,6 @@ func (d *Directory) ReviewCounts(kind ServiceKind) []float64 {
 		out[i] = float64(e.ReviewCount)
 	}
 	return out
-}
-
-// SortedCategories returns a service's categories sorted, for stable
-// iteration in experiments.
-func (d *Directory) SortedCategories(kind ServiceKind) []string {
-	p := d.Profiles[kind]
-	cats := append([]string(nil), p.Categories...)
-	sort.Strings(cats)
-	return cats
 }
 
 func jitter(rng *stats.RNG, center geo.Point, radius float64) geo.Point {

@@ -99,10 +99,6 @@ func (u *User) TrueOpinion(e *Entity) float64 {
 	return clamp(e.Quality+offset, 0, 5)
 }
 
-// WouldRecommend reports whether the user's true opinion of e clears the
-// recommendation threshold used throughout the experiments (≥ 3.5).
-func (u *User) WouldRecommend(e *Entity) bool { return u.TrueOpinion(e) >= 3.5 }
-
 // utility is the user's idiosyncratic attractiveness of e given the
 // distance to it in meters; the trace simulator uses it to pick where to
 // go. Closer and better-liked is more attractive; Pickiness sharpens the

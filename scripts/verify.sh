@@ -1,6 +1,6 @@
 #!/bin/sh
-# verify.sh — the full pre-merge gate: build, the quickstart example,
-# vet, tests, race tests, and gofmt cleanliness. Run via `make verify` or directly.
+# verify.sh — the full pre-merge gate: build, every example, vet,
+# tests, race tests, and gofmt cleanliness. Run via `make verify` or directly.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -8,9 +8,12 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-# The examples are built above but only a run shows they still work.
-echo "==> go run ./examples/quickstart"
-go run ./examples/quickstart >/dev/null
+# The examples are built above but only a run shows they still work;
+# each must exit 0.
+for ex in examples/*/; do
+    echo "==> go run ./${ex%/}"
+    go run "./${ex%/}" >/dev/null
+done
 
 echo "==> go vet ./..."
 go vet ./...
