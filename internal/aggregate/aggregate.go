@@ -13,12 +13,10 @@ package aggregate
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"opinions/internal/history"
-	"opinions/internal/interaction"
 	"opinions/internal/stats"
 	"opinions/internal/stripe"
 )
@@ -35,14 +33,39 @@ type OpinionStore struct {
 
 type opinionShard struct {
 	mu      sync.RWMutex
-	ratings map[string][]float64
+	ratings map[string]*ratings
+}
+
+// ratings is one entity's inferred ratings with the running totals
+// Count, Mean and Histogram read. Ratings are only ever added (a sweep
+// drops histories, not opinions) or restored wholesale, so the totals
+// never need to be taken back.
+type ratings struct {
+	all []float64
+	// sum is Σ all, added in Add order: the same additions a loop over
+	// all makes, so Mean is bit-identical to a recomputed mean.
+	sum float64
+	// bins are int32 to keep ratings within an 80-byte allocation: there
+	// is one per entity.
+	bins [11]int32
+}
+
+func (rs *ratings) add(r float64) {
+	rs.all = append(rs.all, r)
+	rs.sum += r
+	rs.bins[bin(r)]++
+}
+
+// bin is r's half-star histogram bin; exact 5s share the last one.
+func bin(r float64) int {
+	return min(max(int(r*2), 0), 10)
 }
 
 // NewOpinionStore returns an empty store.
 func NewOpinionStore() *OpinionStore {
 	s := &OpinionStore{}
 	for i := range s.shards {
-		s.shards[i].ratings = make(map[string][]float64)
+		s.shards[i].ratings = make(map[string]*ratings)
 	}
 	return s
 }
@@ -62,7 +85,12 @@ func (os *OpinionStore) Add(entityKey string, rating float64) {
 	sh := os.shard(entityKey)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.ratings[entityKey] = append(sh.ratings[entityKey], rating)
+	rs := sh.ratings[entityKey]
+	if rs == nil {
+		rs = &ratings{}
+		sh.ratings[entityKey] = rs
+	}
+	rs.add(rating)
 }
 
 // Total returns the number of inferred ratings across all entities.
@@ -72,50 +100,45 @@ func (os *OpinionStore) Total() int {
 		sh := &os.shards[i]
 		sh.mu.RLock()
 		for _, rs := range sh.ratings {
-			n += len(rs)
+			n += len(rs.all)
 		}
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// Count returns how many inferred ratings an entity has.
-func (os *OpinionStore) Count(entityKey string) int {
+// get returns an entity's ratings under the shard's read lock, as a
+// copy of the totals; all is shared and must not be written.
+func (os *OpinionStore) get(entityKey string) ratings {
 	sh := os.shard(entityKey)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.ratings[entityKey])
+	if rs := sh.ratings[entityKey]; rs != nil {
+		return *rs
+	}
+	return ratings{}
+}
+
+// Count returns how many inferred ratings an entity has.
+func (os *OpinionStore) Count(entityKey string) int {
+	return len(os.get(entityKey).all)
 }
 
 // Mean returns the mean inferred rating and whether any exist.
 func (os *OpinionStore) Mean(entityKey string) (float64, bool) {
-	sh := os.shard(entityKey)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rs := sh.ratings[entityKey]
-	if len(rs) == 0 {
+	rs := os.get(entityKey)
+	if len(rs.all) == 0 {
 		return 0, false
 	}
-	var s float64
-	for _, r := range rs {
-		s += r
-	}
-	return s / float64(len(rs)), true
+	return rs.sum / float64(len(rs.all)), true
 }
 
 // Histogram returns counts of inferred ratings in 11 half-star bins
 // [0, 0.5), [0.5, 1.0), …, [5.0, 5.0]; the last bin holds exact 5s.
 func (os *OpinionStore) Histogram(entityKey string) [11]int {
-	sh := os.shard(entityKey)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	var h [11]int
-	for _, r := range sh.ratings[entityKey] {
-		i := int(r * 2)
-		if i > 10 {
-			i = 10
-		}
-		h[i]++
+	for i, n := range os.get(entityKey).bins {
+		h[i] = int(n)
 	}
 	return h
 }
@@ -126,26 +149,31 @@ func (os *OpinionStore) Dump() map[string][]float64 {
 	for i := range os.shards {
 		sh := &os.shards[i]
 		sh.mu.RLock()
-		for k, v := range sh.ratings {
-			out[k] = append([]float64(nil), v...)
+		for k, rs := range sh.ratings {
+			out[k] = append([]float64(nil), rs.all...)
 		}
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// Restore replaces the store's contents with the dumped ratings.
-func (os *OpinionStore) Restore(ratings map[string][]float64) {
+// Restore replaces the store's contents with the dumped ratings,
+// recomputing each entity's totals in the dumped order.
+func (os *OpinionStore) Restore(dumped map[string][]float64) {
 	for i := range os.shards {
 		sh := &os.shards[i]
 		sh.mu.Lock()
-		sh.ratings = make(map[string][]float64)
+		sh.ratings = make(map[string]*ratings)
 		sh.mu.Unlock()
 	}
-	for k, v := range ratings {
+	for k, v := range dumped {
+		rs := &ratings{all: make([]float64, 0, len(v))}
+		for _, r := range v {
+			rs.add(r)
+		}
 		sh := os.shard(k)
 		sh.mu.Lock()
-		sh.ratings[k] = append([]float64(nil), v...)
+		sh.ratings[k] = rs
 		sh.mu.Unlock()
 	}
 }
@@ -168,7 +196,7 @@ func GroupWeight(n int) float64 {
 
 // VisitCluster is one detected co-arrival group.
 type VisitCluster struct {
-	Start time.Time
+	Start time.Time // the first arrival, in UTC
 	Size  int
 }
 
@@ -179,33 +207,38 @@ func DedupGroups(hists []*history.EntityHistory, window time.Duration) (clusters
 	if window <= 0 {
 		window = GroupWindow
 	}
-	var arrivals []time.Time
-	for _, h := range hists {
-		for _, r := range h.Records {
-			if r.Kind == interaction.VisitKind {
-				arrivals = append(arrivals, r.Start)
-			}
+	arrivals := history.IndexHistories(hists).Arrivals
+	effective = groups(arrivals, window, func(start int64, size int) {
+		clusters = append(clusters, VisitCluster{Start: time.Unix(0, start).UTC(), Size: size})
+	})
+	return clusters, len(arrivals), effective
+}
+
+// groups walks ascending arrivals (Unix nanoseconds), cuts them into
+// co-arrival groups — each holds every arrival within window of its
+// first — and returns the groups' summed GroupWeight. Each group is
+// also passed to each, when non-nil.
+func groups(arrivals []int64, window time.Duration, each func(start int64, size int)) (effective float64) {
+	if len(arrivals) == 0 {
+		return 0
+	}
+	cut := func(start int64, size int) {
+		if each != nil {
+			each(start, size)
 		}
+		effective += GroupWeight(size)
 	}
-	raw = len(arrivals)
-	if raw == 0 {
-		return nil, 0, 0
-	}
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].Before(arrivals[j]) })
-	start := arrivals[0]
-	size := 1
+	start, size := arrivals[0], 1
 	for _, t := range arrivals[1:] {
-		if t.Sub(start) <= window {
+		if t-start <= int64(window) {
 			size++
 			continue
 		}
-		clusters = append(clusters, VisitCluster{Start: start, Size: size})
-		effective += GroupWeight(size)
+		cut(start, size)
 		start, size = t, 1
 	}
-	clusters = append(clusters, VisitCluster{Start: start, Size: size})
-	effective += GroupWeight(size)
-	return clusters, raw, effective
+	cut(start, size)
+	return effective
 }
 
 // EntityAggregate is the comparative-visualization payload for one
@@ -231,44 +264,57 @@ type EntityAggregate struct {
 // Build computes the aggregate for one entity from its anonymous
 // histories.
 func Build(entityKey string, hists []*history.EntityHistory) *EntityAggregate {
+	return fold(entityKey, history.IndexHistories(hists))
+}
+
+// ForEntity computes the aggregate of an entity from the store's
+// maintained visit index, or returns nil when the entity has no
+// histories. It equals Build over the entity's ByEntity histories bit
+// for bit, without copying or sorting them.
+func ForEntity(hists *history.ServerStore, entityKey string) *EntityAggregate {
+	var agg *EntityAggregate
+	hists.ReadVisits(entityKey, func(v *history.VisitIndex) { agg = fold(entityKey, v) })
+	return agg
+}
+
+// fold computes the aggregate in one pass over a visit index: the
+// histories in index order, then the arrivals in time order.
+func fold(entityKey string, v *history.VisitIndex) *EntityAggregate {
 	agg := &EntityAggregate{
 		Entity:                 entityKey,
-		Users:                  len(hists),
+		Users:                  len(v.Histories),
 		VisitsPerUser:          make(map[int]int),
 		MeanDistanceKmByVisits: make(map[int]float64),
 	}
-	distSum := make(map[int]float64)
-	distN := make(map[int]int)
-	visitors, repeaters := 0, 0
-	for _, h := range hists {
-		visits := 0
-		var dist float64
-		for _, r := range h.Records {
-			if r.Kind != interaction.VisitKind {
-				continue
-			}
-			visits++
-			dist += r.DistanceFrom / 1000
-		}
-		if visits == 0 {
+	// users[k] counts the histories with k visits and distSum[k] sums
+	// their mean distances, in index order.
+	var users []int
+	var distSum []float64
+	for _, h := range v.Histories {
+		k := h.Visits
+		if k == 0 {
 			continue
 		}
-		visitors++
-		if visits > 1 {
-			repeaters++
+		if k >= len(users) {
+			users = append(users, make([]int, k+1-len(users))...)
+			distSum = append(distSum, make([]float64, k+1-len(distSum))...)
 		}
-		agg.VisitsPerUser[visits]++
-		distSum[visits] += dist / float64(visits)
-		distN[visits]++
+		users[k]++
+		distSum[k] += h.DistKm / float64(k)
 	}
-	for k, s := range distSum {
-		agg.MeanDistanceKmByVisits[k] = s / float64(distN[k])
+	visitors := 0
+	for k, n := range users {
+		if n == 0 {
+			continue
+		}
+		visitors += n
+		agg.VisitsPerUser[k] = n
+		agg.MeanDistanceKmByVisits[k] = distSum[k] / float64(n)
 	}
-	_, raw, eff := DedupGroups(hists, GroupWindow)
-	agg.RawInteractions = raw
-	agg.EffectiveInteractions = eff
+	agg.RawInteractions = len(v.Arrivals)
+	agg.EffectiveInteractions = groups(v.Arrivals, GroupWindow, nil)
 	if visitors > 0 {
-		agg.RepeatFraction = float64(repeaters) / float64(visitors)
+		agg.RepeatFraction = float64(visitors-agg.VisitsPerUser[1]) / float64(visitors)
 	}
 	return agg
 }
@@ -280,18 +326,10 @@ func Build(entityKey string, hists []*history.EntityHistory) *EntityAggregate {
 // dentist C"). Returns ok=false when fewer than 3 users visited.
 func DistanceVisitCorrelation(hists []*history.EntityHistory) (float64, bool) {
 	var visits, dists []float64
-	for _, h := range hists {
-		n := 0
-		var d float64
-		for _, r := range h.Records {
-			if r.Kind == interaction.VisitKind {
-				n++
-				d += r.DistanceFrom / 1000
-			}
-		}
-		if n > 0 {
-			visits = append(visits, float64(n))
-			dists = append(dists, d/float64(n))
+	for _, h := range history.IndexHistories(hists).Histories {
+		if h.Visits > 0 {
+			visits = append(visits, float64(h.Visits))
+			dists = append(dists, h.DistKm/float64(h.Visits))
 		}
 	}
 	if len(visits) < 3 {

@@ -1,7 +1,9 @@
 package aggregate
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -91,4 +93,42 @@ func TestOpinionStoreInvariants(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The running sum and bins OpinionStore keeps must equal a loop over
+// the ratings exactly, after random Adds and again after Dump→Restore.
+func TestOpinionStoreTotalsMatchLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	os := NewOpinionStore()
+	want := map[string][]float64{}
+	for i := 0; i < 5000; i++ {
+		key := fmt.Sprintf("e%d", rng.Intn(40))
+		r := rng.Float64()*6 - 0.5 // some out of range, to be clamped
+		os.Add(key, r)
+		want[key] = append(want[key], math.Min(math.Max(r, 0), 5))
+	}
+	check := func(os *OpinionStore, when string) {
+		t.Helper()
+		for key, rs := range want {
+			var sum float64
+			var bins [11]int
+			for _, r := range rs {
+				sum += r
+				bins[min(int(r*2), 10)]++
+			}
+			if m, ok := os.Mean(key); !ok || m != sum/float64(len(rs)) {
+				t.Fatalf("%s: Mean(%s) = %v, loop gives %v", when, key, m, sum/float64(len(rs)))
+			}
+			if n := os.Count(key); n != len(rs) {
+				t.Fatalf("%s: Count(%s) = %d, want %d", when, key, n, len(rs))
+			}
+			if h := os.Histogram(key); h != bins {
+				t.Fatalf("%s: Histogram(%s) = %v, loop gives %v", when, key, h, bins)
+			}
+		}
+	}
+	check(os, "after Add")
+	restored := NewOpinionStore()
+	restored.Restore(os.Dump())
+	check(restored, "after Restore")
 }

@@ -23,7 +23,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -191,6 +193,13 @@ var ErrEntityMismatch = errors.New("history: anonymous ID already bound to a dif
 // entity-striped history map (the aggregation read surface). Writers
 // take an ID stripe then an entity stripe, always in that order;
 // readers take only an entity stripe.
+//
+// Each entity's histories live in its VisitIndex, which is the store's
+// state, not a cache over it: Append, Drop and Restore maintain it under
+// the entity stripe's write lock, nothing rebuilds it on a read, and
+// there is no other copy of the histories to fall out of step with.
+// ByEntity reads it in AnonID order and ReadVisits hands it to the
+// Figure-3 fold, so neither sorts.
 type ServerStore struct {
 	ids      [stripe.NumShards]idShard
 	entities [stripe.NumShards]entityShard
@@ -202,14 +211,82 @@ type idShard struct {
 	binding map[string]string
 }
 
-// entityShard guards the histories of its stripe of entities:
-// entity key → anonID → history. All mutation of a history's Records
-// happens under this shard's write lock, so readers holding the read
-// lock may hand out slice-header copies safely (records are
-// append-only; existing elements are never rewritten in place).
+// entityShard guards the visit indexes of its stripe of entities. All
+// mutation of a history's Records happens under this shard's write
+// lock, so readers holding the read lock may hand out slice-header
+// copies safely (records are append-only; existing elements are never
+// rewritten in place).
 type entityShard struct {
 	mu       sync.RWMutex
-	byEntity map[string]map[string]*EntityHistory
+	byEntity map[string]*VisitIndex
+}
+
+// VisitIndex is one entity's histories with the visit totals Figure 3
+// is computed from. Every field is kept as the records arrive, so a
+// read of the view is one linear pass over it.
+type VisitIndex struct {
+	// Histories holds one entry per history, in AnonID order.
+	Histories []HistoryVisits
+	// Arrivals holds the start of every visit record of every history,
+	// in Unix nanoseconds, ascending.
+	Arrivals []int64
+}
+
+// HistoryVisits is one history's entry in a VisitIndex.
+type HistoryVisits struct {
+	// Visits counts the history's visit records.
+	Visits int
+	// DistKm is Σ DistanceFrom/1000 over those records, added in record
+	// order: the same additions a loop over the records makes, so the
+	// running sum equals the recomputed one bit for bit.
+	DistKm float64
+
+	h *EntityHistory
+}
+
+// tally counts rec into the entry's totals and reports whether it was a
+// visit, whose arrival the caller then records.
+func (e *HistoryVisits) tally(rec interaction.Record) bool {
+	if rec.Kind != interaction.VisitKind {
+		return false
+	}
+	e.Visits++
+	e.DistKm += rec.DistanceFrom / 1000
+	return true
+}
+
+// IndexHistories builds the visit index of the given histories, kept in
+// the order given.
+func IndexHistories(hists []*EntityHistory) *VisitIndex {
+	v := &VisitIndex{Histories: make([]HistoryVisits, len(hists))}
+	n := 0
+	for _, h := range hists {
+		for _, r := range h.Records {
+			if r.Kind == interaction.VisitKind {
+				n++
+			}
+		}
+	}
+	v.Arrivals = make([]int64, 0, n)
+	for i, h := range hists {
+		e := &v.Histories[i]
+		e.h = h
+		for _, r := range h.Records {
+			if e.tally(r) {
+				v.Arrivals = append(v.Arrivals, r.Start.UnixNano())
+			}
+		}
+	}
+	slices.Sort(v.Arrivals)
+	return v
+}
+
+// find returns the position of anonID among the index's histories and
+// whether it is there.
+func (v *VisitIndex) find(anonID string) (int, bool) {
+	return slices.BinarySearchFunc(v.Histories, anonID, func(e HistoryVisits, id string) int {
+		return strings.Compare(e.h.AnonID, id)
+	})
 }
 
 // NewServerStore returns an empty store.
@@ -219,7 +296,7 @@ func NewServerStore() *ServerStore {
 		ss.ids[i].binding = make(map[string]string)
 	}
 	for i := range ss.entities {
-		ss.entities[i].byEntity = make(map[string]map[string]*EntityHistory)
+		ss.entities[i].byEntity = make(map[string]*VisitIndex)
 	}
 	return ss
 }
@@ -249,17 +326,22 @@ func (ss *ServerStore) Append(anonID, entityKey string, rec interaction.Record) 
 	es := ss.entityShard(entityKey)
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	hists := es.byEntity[entityKey]
-	if hists == nil {
-		hists = make(map[string]*EntityHistory)
-		es.byEntity[entityKey] = hists
+	v := es.byEntity[entityKey]
+	if v == nil {
+		v = &VisitIndex{}
+		es.byEntity[entityKey] = v
 	}
-	h := hists[anonID]
-	if h == nil {
-		h = &EntityHistory{AnonID: anonID, Entity: entityKey}
-		hists[anonID] = h
+	i, ok := v.find(anonID)
+	if !ok {
+		v.Histories = slices.Insert(v.Histories, i, HistoryVisits{h: &EntityHistory{AnonID: anonID, Entity: entityKey}})
 	}
-	h.Records = append(h.Records, rec)
+	e := &v.Histories[i]
+	e.h.Records = append(e.h.Records, rec)
+	if e.tally(rec) {
+		t := rec.Start.UnixNano()
+		j, _ := slices.BinarySearch(v.Arrivals, t)
+		v.Arrivals = slices.Insert(v.Arrivals, j, t)
+	}
 	return nil
 }
 
@@ -272,14 +354,31 @@ func (ss *ServerStore) Append(anonID, entityKey string, rec interaction.Record) 
 func (ss *ServerStore) ByEntity(entityKey string) []*EntityHistory {
 	es := ss.entityShard(entityKey)
 	es.mu.RLock()
-	hists := es.byEntity[entityKey]
-	out := make([]*EntityHistory, 0, len(hists))
-	for _, h := range hists {
-		out = append(out, &EntityHistory{AnonID: h.AnonID, Entity: h.Entity, Records: h.Records})
+	defer es.mu.RUnlock()
+	var entries []HistoryVisits
+	if v := es.byEntity[entityKey]; v != nil {
+		entries = v.Histories
 	}
-	es.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].AnonID < out[j].AnonID })
+	headers := make([]EntityHistory, len(entries))
+	out := make([]*EntityHistory, len(entries))
+	for i, e := range entries {
+		headers[i] = EntityHistory{AnonID: e.h.AnonID, Entity: e.h.Entity, Records: e.h.Records}
+		out[i] = &headers[i]
+	}
 	return out
+}
+
+// ReadVisits calls fn with an entity's visit index, under the entity
+// stripe's read lock, and does not call it when the entity has no
+// histories. fn must not retain or modify the index, nor call back
+// into the store.
+func (ss *ServerStore) ReadVisits(entityKey string, fn func(*VisitIndex)) {
+	es := ss.entityShard(entityKey)
+	es.mu.RLock()
+	defer es.mu.RUnlock()
+	if v := es.byEntity[entityKey]; v != nil {
+		fn(v)
+	}
 }
 
 // Entities returns all entity keys with at least one history, sorted.
@@ -288,10 +387,8 @@ func (ss *ServerStore) Entities() []string {
 	for i := range ss.entities {
 		es := &ss.entities[i]
 		es.mu.RLock()
-		for k, hists := range es.byEntity {
-			if len(hists) > 0 {
-				out = append(out, k)
-			}
+		for k := range es.byEntity {
+			out = append(out, k)
 		}
 		es.mu.RUnlock()
 	}
@@ -315,11 +412,42 @@ func (ss *ServerStore) Drop(anonID string) {
 	es := ss.entityShard(entityKey)
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	hists := es.byEntity[entityKey]
-	delete(hists, anonID)
-	if len(hists) == 0 {
+	v := es.byEntity[entityKey]
+	i, ok := v.find(anonID)
+	if !ok {
+		return
+	}
+	var gone []int64
+	for _, r := range v.Histories[i].h.Records {
+		if r.Kind == interaction.VisitKind {
+			gone = append(gone, r.Start.UnixNano())
+		}
+	}
+	v.Histories = slices.Delete(v.Histories, i, i+1)
+	v.Arrivals = removeSorted(v.Arrivals, gone)
+	if len(v.Histories) == 0 {
 		delete(es.byEntity, entityKey)
 	}
+}
+
+// removeSorted removes one occurrence of each of gone's values from
+// the ascending slice sorted, in place, in one pass from the first
+// value removed.
+func removeSorted(sorted, gone []int64) []int64 {
+	if len(gone) == 0 {
+		return sorted
+	}
+	slices.Sort(gone)
+	i, _ := slices.BinarySearch(sorted, gone[0])
+	out := sorted[:i]
+	for _, t := range sorted[i:] {
+		if len(gone) > 0 && gone[0] == t {
+			gone = gone[1:]
+			continue
+		}
+		out = append(out, t)
+	}
+	return out
 }
 
 // Dump returns a deep copy of every history, for snapshotting. Order is
@@ -329,12 +457,12 @@ func (ss *ServerStore) Dump() []EntityHistory {
 	for i := range ss.entities {
 		es := &ss.entities[i]
 		es.mu.RLock()
-		for _, hists := range es.byEntity {
-			for _, h := range hists {
+		for _, v := range es.byEntity {
+			for _, e := range v.Histories {
 				out = append(out, EntityHistory{
-					AnonID:  h.AnonID,
-					Entity:  h.Entity,
-					Records: append([]interaction.Record(nil), h.Records...),
+					AnonID:  e.h.AnonID,
+					Entity:  e.h.Entity,
+					Records: append([]interaction.Record(nil), e.h.Records...),
 				})
 			}
 		}
@@ -344,48 +472,50 @@ func (ss *ServerStore) Dump() []EntityHistory {
 	return out
 }
 
-// Restore replaces the store's contents with the dumped histories.
+// Restore replaces the store's contents with the dumped histories. It
+// builds every entity's visit index in bulk — a dump is already in
+// AnonID order, which the sort passes over in linear time, so each
+// entity costs one real sort, of its arrivals — and leaves the store
+// unchanged when the histories are malformed.
 func (ss *ServerStore) Restore(hists []EntityHistory) error {
+	var bindings [stripe.NumShards]map[string]string
+	var groups [stripe.NumShards]map[string][]*EntityHistory
+	for i := range bindings {
+		bindings[i] = make(map[string]string, len(hists)/stripe.NumShards)
+		groups[i] = make(map[string][]*EntityHistory)
+	}
 	for _, h := range hists {
 		if h.AnonID == "" || h.Entity == "" {
 			return fmt.Errorf("history: restoring malformed history (anonID=%q entity=%q)", h.AnonID, h.Entity)
 		}
-	}
-	seen := make(map[string]bool, len(hists))
-	for _, h := range hists {
-		if seen[h.AnonID] {
+		b := bindings[stripe.Index(h.AnonID)]
+		if _, dup := b[h.AnonID]; dup {
 			return fmt.Errorf("history: duplicate anonymous ID %q in snapshot", h.AnonID)
 		}
-		seen[h.AnonID] = true
-	}
-	for i := range ss.ids {
-		ss.ids[i].mu.Lock()
-		ss.ids[i].binding = make(map[string]string)
-		ss.ids[i].mu.Unlock()
-	}
-	for i := range ss.entities {
-		ss.entities[i].mu.Lock()
-		ss.entities[i].byEntity = make(map[string]map[string]*EntityHistory)
-		ss.entities[i].mu.Unlock()
-	}
-	for _, h := range hists {
-		ids := ss.idShard(h.AnonID)
-		ids.mu.Lock()
-		ids.binding[h.AnonID] = h.Entity
-		es := ss.entityShard(h.Entity)
-		es.mu.Lock()
-		m := es.byEntity[h.Entity]
-		if m == nil {
-			m = make(map[string]*EntityHistory)
-			es.byEntity[h.Entity] = m
-		}
-		m[h.AnonID] = &EntityHistory{
+		b[h.AnonID] = h.Entity
+		g := groups[stripe.Index(h.Entity)]
+		g[h.Entity] = append(g[h.Entity], &EntityHistory{
 			AnonID:  h.AnonID,
 			Entity:  h.Entity,
 			Records: append([]interaction.Record(nil), h.Records...),
+		})
+	}
+	byAnonID := func(a, b *EntityHistory) int { return strings.Compare(a.AnonID, b.AnonID) }
+	for i := range ss.entities {
+		byEntity := make(map[string]*VisitIndex, len(groups[i]))
+		for key, g := range groups[i] {
+			slices.SortFunc(g, byAnonID)
+			byEntity[key] = IndexHistories(g)
 		}
+		es := &ss.entities[i]
+		es.mu.Lock()
+		es.byEntity = byEntity
 		es.mu.Unlock()
-		ids.mu.Unlock()
+	}
+	for i := range ss.ids {
+		ss.ids[i].mu.Lock()
+		ss.ids[i].binding = bindings[i]
+		ss.ids[i].mu.Unlock()
 	}
 	return nil
 }
@@ -404,10 +534,10 @@ func (ss *ServerStore) Stats() Stats {
 		es := &ss.entities[i]
 		es.mu.RLock()
 		s.Entities += len(es.byEntity)
-		for _, hists := range es.byEntity {
-			s.Histories += len(hists)
-			for _, h := range hists {
-				s.Records += len(h.Records)
+		for _, v := range es.byEntity {
+			s.Histories += len(v.Histories)
+			for _, e := range v.Histories {
+				s.Records += len(e.h.Records)
 			}
 		}
 		es.mu.RUnlock()

@@ -4,6 +4,9 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	mathrand "math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -229,5 +232,86 @@ func TestClientStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	if cs.Len() != 20 {
 		t.Fatalf("Len = %d", cs.Len())
+	}
+}
+
+// sameIndex reports whether the store's maintained index of every
+// entity equals the index rebuilt from its ByEntity histories.
+func sameIndex(t *testing.T, ss *ServerStore, when string) {
+	t.Helper()
+	for _, key := range ss.Entities() {
+		hists := ss.ByEntity(key)
+		if !slices.IsSortedFunc(hists, func(a, b *EntityHistory) int { return strings.Compare(a.AnonID, b.AnonID) }) {
+			t.Fatalf("%s: ByEntity(%s) not in AnonID order", when, key)
+		}
+		want := IndexHistories(hists)
+		ss.ReadVisits(key, func(got *VisitIndex) {
+			if len(got.Histories) != len(want.Histories) || !slices.Equal(got.Arrivals, want.Arrivals) {
+				t.Fatalf("%s: %s index has %d histories, %d arrivals; rebuilt has %d, %d",
+					when, key, len(got.Histories), len(got.Arrivals), len(want.Histories), len(want.Arrivals))
+			}
+			for i, g := range got.Histories {
+				w := want.Histories[i]
+				if g.h.AnonID != w.h.AnonID || g.Visits != w.Visits || g.DistKm != w.DistKm {
+					t.Fatalf("%s: %s entry %d = %s %d %v, rebuilt %s %d %v",
+						when, key, i, g.h.AnonID, g.Visits, g.DistKm, w.h.AnonID, w.Visits, w.DistKm)
+				}
+			}
+		})
+	}
+}
+
+func TestServerStoreIndexMatchesRebuild(t *testing.T) {
+	rng := mathrand.New(mathrand.NewSource(1))
+	ss := NewServerStore()
+	var ids []string
+	for i := 0; i < 2000; i++ {
+		entity := fmt.Sprintf("yelp/e%d", rng.Intn(5))
+		id := AnonID([]byte{byte(rng.Intn(80))}, entity)
+		r := rec(entity, t0.Add(time.Duration(rng.Intn(500))*time.Minute))
+		r.DistanceFrom = rng.Float64() * 20000
+		if rng.Intn(4) == 0 {
+			r.Kind = interaction.CallKind
+		}
+		if err := ss.Append(id, entity, r); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	sameIndex(t, ss, "after Append")
+	for i := 0; i < 100; i++ {
+		ss.Drop(ids[rng.Intn(len(ids))])
+	}
+	sameIndex(t, ss, "after Drop")
+
+	// Restore must not rely on the dump's AnonID order.
+	dump := ss.Dump()
+	rng.Shuffle(len(dump), func(i, j int) { dump[i], dump[j] = dump[j], dump[i] })
+	other := NewServerStore()
+	if err := other.Restore(dump); err != nil {
+		t.Fatal(err)
+	}
+	sameIndex(t, other, "after Restore")
+	if other.Stats() != ss.Stats() {
+		t.Fatalf("restored stats %+v, want %+v", other.Stats(), ss.Stats())
+	}
+}
+
+// A snapshot that fails validation leaves the store as it was.
+func TestServerStoreRestoreRejectsWithoutChange(t *testing.T) {
+	ss := NewServerStore()
+	if err := ss.Append("id-1", "yelp/a", rec("yelp/a", t0)); err != nil {
+		t.Fatal(err)
+	}
+	before := ss.Stats()
+	dup := []EntityHistory{{AnonID: "x", Entity: "yelp/b"}, {AnonID: "x", Entity: "yelp/b"}}
+	if err := ss.Restore(dup); err == nil {
+		t.Fatal("duplicate anonymous ID restored")
+	}
+	if err := ss.Restore([]EntityHistory{{AnonID: "y"}}); err == nil {
+		t.Fatal("history without an entity restored")
+	}
+	if ss.Stats() != before {
+		t.Fatalf("stats after rejected restores = %+v, want %+v", ss.Stats(), before)
 	}
 }

@@ -2,7 +2,9 @@ package search
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
 	"opinions/internal/aggregate"
 	"opinions/internal/history"
@@ -54,6 +56,33 @@ func BenchmarkSearch200Results(b *testing.B) {
 func BenchmarkDescribe(b *testing.B) {
 	e := benchEngine(b)
 	ent := e.Entity("yelp/e0000")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Describe(ent)
+	}
+}
+
+// BenchmarkDescribeHotEntity describes one entity holding 6,000
+// histories of 1–5 visits each — the shape of the bench world's most
+// popular entity, whose view every cache miss rebuilds.
+func BenchmarkDescribeHotEntity(b *testing.B) {
+	ent := &world.Entity{ID: "hot", Service: world.Yelp, Zip: "z0", Category: "cafe", Quality: 3}
+	ops := aggregate.NewOpinionStore()
+	hists := history.NewServerStore()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6000; i++ {
+		id := history.AnonID([]byte(fmt.Sprintf("device-%d", i)), ent.Key())
+		for v := 0; v < 1+rng.Intn(5); v++ {
+			_ = hists.Append(id, ent.Key(), interaction.Record{
+				Entity: ent.Key(), Kind: interaction.VisitKind,
+				Start:        t0.Add(time.Duration(rng.Intn(90*24*60)) * time.Minute),
+				DistanceFrom: rng.Float64() * 20000,
+			})
+		}
+		ops.Add(ent.Key(), rng.Float64()*5)
+	}
+	e := NewEngine([]*world.Entity{ent}, nil, ops, hists)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Describe(ent)

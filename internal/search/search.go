@@ -138,9 +138,7 @@ func (e *Engine) Describe(ent *world.Entity) Result {
 		r.InferredHistogram = e.opinions.Histogram(ent.Key())
 	}
 	if e.histories != nil {
-		if hists := e.histories.ByEntity(ent.Key()); len(hists) > 0 {
-			r.Aggregate = aggregate.Build(ent.Key(), hists)
-		}
+		r.Aggregate = aggregate.ForEntity(e.histories, ent.Key())
 	}
 	r.Score = score(r)
 	return r

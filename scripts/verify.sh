@@ -40,6 +40,11 @@ go test -C bench .
 echo "==> commit-pipeline benchmark smoke (1 iteration)"
 go test -run '^$' -bench=Commit -benchtime=1x ./internal/store/...
 
+# The read-path benchmarks (BenchmarkDescribeHotEntity among them) are
+# run once each so they keep compiling and running.
+echo "==> read-path benchmark smoke (1 iteration)"
+go test -run '^$' -bench . -benchtime 1x ./internal/search ./internal/history ./internal/aggregate
+
 echo "==> streaming smoke (100k-user world: shards -> rspd -> agent cohort, heap-gated)"
 sh scripts/streaming_smoke.sh
 
