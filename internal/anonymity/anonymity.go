@@ -49,14 +49,13 @@ type Upload struct {
 // unique across process restarts, so they come from crypto/rand rather
 // than the agent's deterministic stream: a reseeded RNG would reissue
 // the first process's keys and the server would silently drop the
-// second process's genuinely new uploads as replays.
+// second process's genuinely new uploads as replays. It never returns
+// an empty key: if crypto/rand fails it panics, the contract Go's own
+// crypto/rand.Read has had since Go 1.24.
 func NewUploadKey() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; an empty key
-		// degrades to pre-idempotency (at-least-once) behaviour rather
-		// than panicking the agent.
-		return ""
+		panic("anonymity: crypto/rand failed: " + err.Error())
 	}
 	return hex.EncodeToString(b[:])
 }

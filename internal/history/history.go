@@ -189,9 +189,9 @@ var ErrEntityMismatch = errors.New("history: anonymous ID already bound to a dif
 //
 // Internally the store is striped two ways so reads stop serializing
 // behind uploads: an anonID-striped binding index (anonID → entity,
-// backing the §4.2 entity-mismatch check and Drop routing) and an
-// entity-striped history map (the aggregation read surface). Writers
-// take an ID stripe then an entity stripe, always in that order;
+// backing the §4.2 entity-mismatch check) and an entity-striped
+// history map (the aggregation read surface). Append takes an ID
+// stripe then an entity stripe, always in that order, as Drop does;
 // readers take only an entity stripe.
 //
 // Each entity's histories live in its VisitIndex, which is the store's
@@ -209,6 +209,9 @@ type ServerStore struct {
 type idShard struct {
 	mu      sync.Mutex
 	binding map[string]string
+	// swept holds the bound IDs that have no history: a Drop removed it
+	// and no Append has started another. Dump carries their bindings.
+	swept map[string]struct{}
 }
 
 // entityShard guards the visit indexes of its stripe of entities. All
@@ -294,6 +297,7 @@ func NewServerStore() *ServerStore {
 	ss := &ServerStore{}
 	for i := range ss.ids {
 		ss.ids[i].binding = make(map[string]string)
+		ss.ids[i].swept = make(map[string]struct{})
 	}
 	for i := range ss.entities {
 		ss.entities[i].byEntity = make(map[string]*VisitIndex)
@@ -322,6 +326,9 @@ func (ss *ServerStore) Append(anonID, entityKey string, rec interaction.Record) 
 		return ErrEntityMismatch
 	}
 	ids.binding[anonID] = entityKey
+	if len(ids.swept) > 0 {
+		delete(ids.swept, anonID)
+	}
 
 	es := ss.entityShard(entityKey)
 	es.mu.Lock()
@@ -396,23 +403,25 @@ func (ss *ServerStore) Entities() []string {
 	return out
 }
 
-// Drop removes a history entirely — used by fraud filtering (§4.3:
-// "Discarding interaction histories that significantly deviate from the
-// activity patterns of the typical user").
-func (ss *ServerStore) Drop(anonID string) {
+// Drop removes the history anonID holds on entityKey — used by fraud
+// filtering (§4.3: "Discarding interaction histories that significantly
+// deviate from the activity patterns of the typical user"). An ID with
+// no history on that entity is skipped. The anonID→entity binding
+// outlives the history, and Dump carries it: an ID, once bound, never
+// binds to another entity, across restarts and restores too, so whether
+// an Append is accepted never depends on how appends and drops on
+// different entities interleave, nor on when the store last restarted.
+func (ss *ServerStore) Drop(anonID, entityKey string) {
 	ids := ss.idShard(anonID)
 	ids.mu.Lock()
 	defer ids.mu.Unlock()
-	entityKey, ok := ids.binding[anonID]
-	if !ok {
-		return
-	}
-	delete(ids.binding, anonID)
-
 	es := ss.entityShard(entityKey)
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	v := es.byEntity[entityKey]
+	if v == nil {
+		return
+	}
 	i, ok := v.find(anonID)
 	if !ok {
 		return
@@ -425,6 +434,7 @@ func (ss *ServerStore) Drop(anonID string) {
 	}
 	v.Histories = slices.Delete(v.Histories, i, i+1)
 	v.Arrivals = removeSorted(v.Arrivals, gone)
+	ids.swept[anonID] = struct{}{}
 	if len(v.Histories) == 0 {
 		delete(es.byEntity, entityKey)
 	}
@@ -450,8 +460,9 @@ func removeSorted(sorted, gone []int64) []int64 {
 	return out
 }
 
-// Dump returns a deep copy of every history, for snapshotting. Order is
-// deterministic (by anonymous ID).
+// Dump returns a deep copy of every history, for snapshotting, and the
+// binding of every ID Drop left without one as a history with no
+// records. Order is deterministic (by anonymous ID).
 func (ss *ServerStore) Dump() []EntityHistory {
 	var out []EntityHistory
 	for i := range ss.entities {
@@ -468,6 +479,14 @@ func (ss *ServerStore) Dump() []EntityHistory {
 		}
 		es.mu.RUnlock()
 	}
+	for i := range ss.ids {
+		ids := &ss.ids[i]
+		ids.mu.Lock()
+		for id := range ids.swept {
+			out = append(out, EntityHistory{AnonID: id, Entity: ids.binding[id]})
+		}
+		ids.mu.Unlock()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].AnonID < out[j].AnonID })
 	return out
 }
@@ -476,12 +495,17 @@ func (ss *ServerStore) Dump() []EntityHistory {
 // builds every entity's visit index in bulk — a dump is already in
 // AnonID order, which the sort passes over in linear time, so each
 // entity costs one real sort, of its arrivals — and leaves the store
-// unchanged when the histories are malformed.
+// unchanged when the histories are malformed. A history with no
+// records restores only its binding, as Dump wrote it. The store takes
+// ownership of each history's Records: the caller must hand over a
+// freshly decoded or freshly dumped slice and not touch it afterwards.
 func (ss *ServerStore) Restore(hists []EntityHistory) error {
 	var bindings [stripe.NumShards]map[string]string
+	var swept [stripe.NumShards]map[string]struct{}
 	var groups [stripe.NumShards]map[string][]*EntityHistory
 	for i := range bindings {
 		bindings[i] = make(map[string]string, len(hists)/stripe.NumShards)
+		swept[i] = make(map[string]struct{})
 		groups[i] = make(map[string][]*EntityHistory)
 	}
 	for _, h := range hists {
@@ -493,12 +517,12 @@ func (ss *ServerStore) Restore(hists []EntityHistory) error {
 			return fmt.Errorf("history: duplicate anonymous ID %q in snapshot", h.AnonID)
 		}
 		b[h.AnonID] = h.Entity
+		if len(h.Records) == 0 {
+			swept[stripe.Index(h.AnonID)][h.AnonID] = struct{}{}
+			continue
+		}
 		g := groups[stripe.Index(h.Entity)]
-		g[h.Entity] = append(g[h.Entity], &EntityHistory{
-			AnonID:  h.AnonID,
-			Entity:  h.Entity,
-			Records: append([]interaction.Record(nil), h.Records...),
-		})
+		g[h.Entity] = append(g[h.Entity], &EntityHistory{AnonID: h.AnonID, Entity: h.Entity, Records: h.Records})
 	}
 	byAnonID := func(a, b *EntityHistory) int { return strings.Compare(a.AnonID, b.AnonID) }
 	for i := range ss.entities {
@@ -515,6 +539,7 @@ func (ss *ServerStore) Restore(hists []EntityHistory) error {
 	for i := range ss.ids {
 		ss.ids[i].mu.Lock()
 		ss.ids[i].binding = bindings[i]
+		ss.ids[i].swept = swept[i]
 		ss.ids[i].mu.Unlock()
 	}
 	return nil

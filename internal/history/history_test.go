@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	mathrand "math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -172,15 +173,82 @@ func TestServerStoreDrop(t *testing.T) {
 	id2 := AnonID([]byte("ru2"), "yelp/a")
 	_ = ss.Append(id1, "yelp/a", rec("yelp/a", t0))
 	_ = ss.Append(id2, "yelp/a", rec("yelp/a", t0))
-	ss.Drop(id1)
+	ss.Drop(id1, "yelp/b") // bound elsewhere: skipped
+	if got := ss.ByEntity("yelp/a"); len(got) != 2 {
+		t.Fatalf("drop naming the wrong entity removed a history: %d left", len(got))
+	}
+	ss.Drop(id1, "yelp/a")
 	if got := ss.ByEntity("yelp/a"); len(got) != 1 || got[0].AnonID != id2 {
 		t.Fatalf("after drop: %d histories", len(got))
 	}
-	ss.Drop(id2)
+	ss.Drop(id2, "yelp/a")
 	if got := ss.Entities(); len(got) != 0 {
 		t.Fatalf("entities after dropping all = %v", got)
 	}
-	ss.Drop("nonexistent") // must not panic
+	ss.Drop(id2, "yelp/a")           // entity has no index left: must not panic
+	ss.Drop("nonexistent", "yelp/a") // must not panic
+}
+
+// A dropped history's ID stays bound to its entity, in a store
+// restored from a dump too: it may start a new history there, never on
+// another entity.
+func TestServerStoreDropKeepsBinding(t *testing.T) {
+	ss := NewServerStore()
+	id := AnonID([]byte("ru1"), "yelp/a")
+	kept := AnonID([]byte("ru2"), "yelp/a")
+	for _, x := range []string{id, kept} {
+		if err := ss.Append(x, "yelp/a", rec("yelp/a", t0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss.Drop(id, "yelp/a")
+	dump := ss.Dump()
+	if len(dump) != 2 {
+		t.Fatalf("dump after a drop holds %d entries, want the history and the swept binding", len(dump))
+	}
+	restored := NewServerStore()
+	if err := restored.Restore(dump); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Stats(); got != (Stats{Histories: 1, Records: 1, Entities: 1}) {
+		t.Fatalf("restored stats %+v: a swept binding counted as a history", got)
+	}
+	if got := restored.Dump(); !reflect.DeepEqual(got, dump) {
+		t.Fatalf("dump of the restored store\n got %+v\nwant %+v", got, dump)
+	}
+	for name, s := range map[string]*ServerStore{"live": ss, "restored": restored} {
+		if err := s.Append(id, "yelp/b", rec("yelp/b", t0)); !errors.Is(err, ErrEntityMismatch) {
+			t.Fatalf("%s: re-binding a dropped ID = %v, want ErrEntityMismatch", name, err)
+		}
+		if err := s.Append(id, "yelp/a", rec("yelp/a", t0)); err != nil {
+			t.Fatalf("%s: re-upload to the same entity after drop: %v", name, err)
+		}
+		if got := s.ByEntity("yelp/a"); len(got) != 2 {
+			t.Fatalf("%s: after re-upload: %d histories", name, len(got))
+		}
+		if got := s.Dump(); len(got) != 2 || len(got[0].Records) != 1 || len(got[1].Records) != 1 {
+			t.Fatalf("%s: dump after re-upload still carries the swept binding: %+v", name, got)
+		}
+	}
+}
+
+// Restore takes ownership of the histories it is handed: the restored
+// histories share the input's record arrays rather than copying them.
+func TestServerStoreRestoreSharesRecords(t *testing.T) {
+	dump := []EntityHistory{
+		{AnonID: "id-1", Entity: "yelp/a", Records: []interaction.Record{rec("yelp/a", t0), rec("yelp/a", t0.Add(time.Hour))}},
+		{AnonID: "id-2", Entity: "yelp/b", Records: []interaction.Record{rec("yelp/b", t0)}},
+	}
+	ss := NewServerStore()
+	if err := ss.Restore(dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range dump {
+		got := ss.ByEntity(in.Entity)
+		if len(got) != 1 || len(got[0].Records) != len(in.Records) || &got[0].Records[0] != &in.Records[0] {
+			t.Fatalf("restored %s does not share the input's records", in.AnonID)
+		}
+	}
 }
 
 func TestServerStoreStats(t *testing.T) {
@@ -264,7 +332,8 @@ func sameIndex(t *testing.T, ss *ServerStore, when string) {
 func TestServerStoreIndexMatchesRebuild(t *testing.T) {
 	rng := mathrand.New(mathrand.NewSource(1))
 	ss := NewServerStore()
-	var ids []string
+	type bound struct{ id, entity string }
+	var ids []bound
 	for i := 0; i < 2000; i++ {
 		entity := fmt.Sprintf("yelp/e%d", rng.Intn(5))
 		id := AnonID([]byte{byte(rng.Intn(80))}, entity)
@@ -276,11 +345,12 @@ func TestServerStoreIndexMatchesRebuild(t *testing.T) {
 		if err := ss.Append(id, entity, r); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, bound{id, entity})
 	}
 	sameIndex(t, ss, "after Append")
 	for i := 0; i < 100; i++ {
-		ss.Drop(ids[rng.Intn(len(ids))])
+		b := ids[rng.Intn(len(ids))]
+		ss.Drop(b.id, b.entity)
 	}
 	sameIndex(t, ss, "after Drop")
 

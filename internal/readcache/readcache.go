@@ -118,9 +118,8 @@ func (c *Cache) Invalidate(key string, namespaces ...string) {
 }
 
 // Reset flushes the whole cache — every entry in every stripe — and
-// bumps every stripe's generation. Used for cross-stripe mutations
-// (retrain, fraud sweep) and snapshot restores, where per-entity
-// invalidation cannot bound what changed.
+// bumps every stripe's generation. Used for snapshot restores, where
+// per-entity invalidation cannot bound what changed.
 func (c *Cache) Reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]

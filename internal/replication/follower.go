@@ -250,18 +250,9 @@ func (f *Follower) session() (bool, error) {
 		}
 		f.touch()
 		progressed = true
-		// fullAck: acknowledge every stripe (after a barrier, snapshot,
-		// or heartbeat); otherwise only the frame's stripe moved.
-		fullAck := true
 		switch msg.kind {
 		case msgFrame:
-			stripe := int(msg.stripe)
-			if msg.stripe == wireBarrierStripe {
-				stripe = store.BarrierStripe
-			} else {
-				fullAck = false
-			}
-			if err := f.st.CommitReplicated(stripe, msg.seq, msg.payload); err != nil {
+			if err := f.st.CommitReplicated(int(msg.stripe), msg.seq, msg.payload); err != nil {
 				return progressed, err
 			}
 			metricApplied.Inc()
@@ -288,15 +279,19 @@ func (f *Follower) session() (bool, error) {
 			f.leaderSeq.Store(mine)
 		}
 		metricApplyLag.Set(int64(f.Lag()))
+		// A frame moved only its own stripe; a snapshot or heartbeat is
+		// acked with the full vector.
 		vec := f.st.SeqVector()
-		if fullAck {
+		if msg.kind == msgFrame {
+			if err := writeAck(conn, msg.stripe, vec[msg.stripe]); err != nil {
+				return progressed, err
+			}
+		} else {
 			for i, seq := range vec {
 				if err := writeAck(conn, uint32(i), seq); err != nil {
 					return progressed, err
 				}
 			}
-		} else if err := writeAck(conn, msg.stripe, vec[msg.stripe]); err != nil {
-			return progressed, err
 		}
 	}
 	return progressed, nil

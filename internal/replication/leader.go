@@ -269,34 +269,24 @@ func (l *Leader) serveConn(conn net.Conn) {
 // vector already delivered — contiguous by store.FramePosition: a
 // frame already delivered during catch-up is skipped, the next one
 // travels, and anything else is a stream gap (the session restarts into
-// a fresh catch-up). A barrier frame is placed against every stripe at
-// once.
+// a fresh catch-up).
 func streamFrame(bw *bufio.Writer, last []uint64, f store.Frame) error {
-	have, want := last, f.Seqs
-	if f.Stripe != store.BarrierStripe {
-		have, want = last[f.Stripe:f.Stripe+1], []uint64{f.Seq}
-	}
-	switch store.FramePosition(have, want) {
+	switch store.FramePosition(last[f.Stripe:f.Stripe+1], []uint64{f.Seq}) {
 	case store.FrameDup:
 		return nil
 	case store.FrameGap:
-		return fmt.Errorf("replication: stream gap: have %v, next live frame wants %v", have, want)
+		return fmt.Errorf("replication: stream gap in stripe %d: have %d, next live frame is %d", f.Stripe, last[f.Stripe], f.Seq)
 	}
 	if err := writeFrame(bw, f); err != nil {
 		return err
 	}
-	copy(have, want)
+	last[f.Stripe] = f.Seq
 	return nil
 }
 
-// writeFrame puts one store frame on the wire — a barrier under
-// wireBarrierStripe, carrying its stripe-0 sequence — and counts it.
+// writeFrame puts one store frame on the wire and counts it.
 func writeFrame(bw *bufio.Writer, f store.Frame) error {
-	stripe, seq := uint32(f.Stripe), f.Seq
-	if f.Stripe == store.BarrierStripe {
-		stripe, seq = wireBarrierStripe, f.Seqs[0]
-	}
-	if err := writeFrameMsg(bw, stripe, seq, f.Payload); err != nil {
+	if err := writeFrameMsg(bw, uint32(f.Stripe), f.Seq, f.Payload); err != nil {
 		return err
 	}
 	metricFrames.Inc()

@@ -14,14 +14,10 @@
 //
 // after which the leader streams messages, each tagged by one byte:
 //
-//	'F' frame:     uint32 BE stripe (0xFFFFFFFF for a cross-stripe
-//	               barrier record), uint32 BE payload length, uint32 BE
-//	               CRC-32 (IEEE, over seq+payload — identical to the
-//	               WAL frame CRC), uint64 BE sequence (the stripe's, or
-//	               the barrier's stripe-0 sequence), payload. A barrier
-//	               frame travels once; its per-stripe vector rides in
-//	               the payload's stripe_seqs field and the follower
-//	               logs a copy to every stripe.
+//	'F' frame:     uint32 BE stripe, uint32 BE payload length, uint32
+//	               BE CRC-32 (IEEE, over seq+payload — identical to the
+//	               WAL frame CRC), uint64 BE sequence within the stripe,
+//	               payload (the record's JSON, as logged)
 //	'S' snapshot:  uint64 BE total sequence (sum over stripes), uint32
 //	               BE blob length, blob (a storage.Write snapshot,
 //	               whose WALSeqs carries the per-stripe vector) — sent when
@@ -34,10 +30,9 @@
 // The follower's side of the stream is a sequence of acks, each a
 // uint32 BE stripe plus uint64 BE sequence: "everything at or below
 // this sequence in this stripe is fsynced on my disk" — what the
-// leader's semi-synchronous commit barrier waits on. A single-stripe
-// frame is acked with one ack for its stripe; barriers, snapshots, and
-// heartbeats are acked with one ack per stripe (the follower's full
-// vector).
+// leader's semi-synchronous commit barrier waits on. A frame is acked
+// with one ack for its stripe; snapshots and heartbeats are acked with
+// one ack per stripe (the follower's full vector).
 package replication
 
 import (
@@ -55,10 +50,6 @@ const (
 	msgFrame     = 'F'
 	msgSnapshot  = 'S'
 	msgHeartbeat = 'H'
-
-	// wireBarrierStripe tags a barrier frame (and a full-vector ack) on
-	// the wire; it maps to store.BarrierStripe at the edges.
-	wireBarrierStripe = 0xFFFFFFFF
 
 	// maxStripesWire bounds the handshake's stripe count; mirrors the
 	// store's maxStripes.
@@ -115,9 +106,7 @@ func readHandshake(r io.Reader) ([]uint64, error) {
 	return vec, nil
 }
 
-// writeFrameMsg ships one committed record. stripe is the record's
-// commit stripe, or wireBarrierStripe for a barrier record (which the
-// follower fans out to every stripe itself).
+// writeFrameMsg ships one committed record from its commit stripe.
 func writeFrameMsg(w io.Writer, stripe uint32, seq uint64, payload []byte) error {
 	var hdr [1 + 4 + 4 + 4 + 8]byte
 	hdr[0] = msgFrame
@@ -170,8 +159,7 @@ func readAck(r io.Reader) (uint32, uint64, error) {
 }
 
 // message is one decoded leader→follower message. For frames, stripe
-// identifies the commit stripe (wireBarrierStripe for barriers) and
-// seq the position within it; for snapshots and heartbeats seq is the
+// identifies the commit stripe and seq the position within it; for snapshots and heartbeats seq is the
 // leader's total sequence. payload is the frame payload or snapshot
 // blob, nil for heartbeats.
 type message struct {

@@ -8,9 +8,11 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
+	"opinions/internal/history"
 	"opinions/internal/interaction"
 	"opinions/internal/resilience"
 	"opinions/internal/simclock"
@@ -281,11 +283,12 @@ func TestHandshakeRejectsBadMagic(t *testing.T) {
 	}
 }
 
-// TestBarrierRecordsReplicate: cross-stripe barrier records (retrain,
-// fraud sweep) travel the wire once, fan out to every stripe on the
-// follower, and the follower's full-vector ack satisfies the leader's
-// semi-sync barrier. Runs at the default stripe width.
-func TestBarrierRecordsReplicate(t *testing.T) {
+// TestRetrainAndSweepRecordsReplicate: a retrain (on the training
+// pairs' stripe) and per-entity sweep records travel like any other
+// frame, the follower's per-stripe acks satisfy the leader's semi-sync
+// barrier, and the follower ends in the leader's state. Runs at the
+// default stripe width.
+func TestRetrainAndSweepRecordsReplicate(t *testing.T) {
 	leaderStore, followerStore := openStore(t), openStore(t)
 	leader, addr := startLeader(t, leaderStore, LeaderOptions{
 		SyncCommit: true, AckTimeout: 5 * time.Second,
@@ -304,25 +307,108 @@ func TestBarrierRecordsReplicate(t *testing.T) {
 			t.Fatalf("train pair %d: %v", i, err)
 		}
 	}
-	// Both barrier kinds, with single-stripe traffic in between.
 	if err := leaderStore.Commit(&store.Record{Kind: store.KindRetrain}); err != nil {
 		t.Fatalf("retrain: %v", err)
 	}
 	commitUpload(t, leaderStore, 8)
-	if err := leaderStore.Commit(&store.Record{Kind: store.KindSweep, Dropped: []string{"anon-2"}}); err != nil {
-		t.Fatalf("sweep: %v", err)
+	for _, sweep := range []*store.Record{
+		{Kind: store.KindSweep, Entity: "ent/2", Dropped: []string{"anon-2", "anon-5"}},
+		{Kind: store.KindSweep, Entity: "ent/0", Dropped: []string{"anon-3"}},
+	} {
+		if err := leaderStore.Commit(sweep); err != nil {
+			t.Fatalf("sweep of %s: %v", sweep.Entity, err)
+		}
+	}
+	if got := leaderStore.Histories().Stats().Histories; got != 6 {
+		t.Fatalf("leader holds %d histories after the sweeps, want 6", got)
 	}
 
 	want := leaderStore.Seq()
 	waitFor(t, 5*time.Second, "follower converged", func() bool { return followerStore.Seq() == want })
 	waitFor(t, 5*time.Second, "leader saw full acks", func() bool { return leader.FollowerAck() == want })
 	if followerStore.Models() == nil {
-		t.Fatal("retrain barrier did not rebuild the model on the follower")
+		t.Fatal("retrain did not rebuild the model on the follower")
 	}
-	if got, wantRecs := followerStore.Histories().Stats().Records, leaderStore.Histories().Stats().Records; got != wantRecs {
-		t.Fatalf("follower records %d, leader %d (sweep barrier diverged)", got, wantRecs)
+	ls, fs := leaderStore.Snapshot(), followerStore.Snapshot()
+	for _, c := range []struct {
+		name           string
+		leader, follow any
+	}{
+		{"histories", ls.Histories, fs.Histories},
+		{"opinions", ls.Opinions, fs.Opinions},
+		{"training pairs", []any{ls.TrainX, ls.TrainY, ls.TrainCats}, []any{fs.TrainX, fs.TrainY, fs.TrainCats}},
+		{"models", ls.Models, fs.Models},
+		{"sequence vector", ls.WALSeqs, fs.WALSeqs},
+	} {
+		if !reflect.DeepEqual(c.leader, c.follow) {
+			t.Fatalf("follower %s differ from the leader's:\n leader %+v\n follower %+v", c.name, c.leader, c.follow)
+		}
 	}
-	if got := followerStore.TrainingPairs(); got != 4 {
-		t.Fatalf("follower training pairs = %d, want 4", got)
+}
+
+// TestSweptBindingSurvivesLeaderRestart: an ID whose history a sweep
+// dropped stays bound to its entity on a leader restarted from a
+// compacted snapshot, as it does on a follower that saw the sweep live.
+// The restarted leader refuses the ID on another entity, so no frame
+// reaches the follower that it would refuse, and the two converge.
+func TestSweptBindingSurvivesLeaderRestart(t *testing.T) {
+	opts := store.Options{
+		Dir: t.TempDir(), NoSync: true, CompactEvery: -1,
+		Clock: simclock.NewSim(simclock.Epoch), Logger: quietLogger(),
+	}
+	leaderStore, err := store.Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	followerStore := openStore(t)
+	leader, addr := startLeader(t, leaderStore, LeaderOptions{})
+	f := StartFollower(followerStore, addr, fastFollowerOpts())
+	defer f.Close()
+
+	for i := 0; i < 6; i++ {
+		commitUpload(t, leaderStore, i) // anon-i on ent/(i%3)
+	}
+	sweep := &store.Record{Kind: store.KindSweep, Entity: "ent/1", Dropped: []string{"anon-1", "anon-4"}}
+	if err := leaderStore.Commit(sweep); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	want := leaderStore.Seq()
+	waitFor(t, 5*time.Second, "follower saw the sweep", func() bool { return followerStore.Seq() == want })
+	if err := leaderStore.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	leader.Close()
+	if err := leaderStore.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	leaderStore, err = store.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer leaderStore.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen again on %s: %v", addr, err)
+	}
+	leader = NewLeader(leaderStore, LeaderOptions{Logger: quietLogger(), HeartbeatEvery: 20 * time.Millisecond})
+	go leader.Serve(ln)
+	defer leader.Close()
+
+	visit := &interaction.Record{Entity: "ent/2", Kind: interaction.VisitKind, Start: simclock.Epoch}
+	rebind := &store.Record{Kind: store.KindUpload, AnonID: "anon-1", Entity: "ent/2", Visit: visit, Key: "key-rebind"}
+	if err := leaderStore.Commit(rebind); !errors.Is(err, history.ErrEntityMismatch) {
+		t.Fatalf("restarted leader re-bound a swept ID: %v, want ErrEntityMismatch", err)
+	}
+	commitUpload(t, leaderStore, 1) // anon-1 back on ent/1: accepted
+	commitUpload(t, leaderStore, 6)
+	want = leaderStore.Seq()
+	waitFor(t, 5*time.Second, "follower converged after the restart", func() bool { return followerStore.Seq() == want })
+	ls, fs := leaderStore.Snapshot(), followerStore.Snapshot()
+	if !reflect.DeepEqual(ls.Histories, fs.Histories) {
+		t.Fatalf("follower histories differ from the leader's:\n leader %+v\n follower %+v", ls.Histories, fs.Histories)
+	}
+	if n := len(ls.Histories); n != 7 {
+		t.Fatalf("leader dump holds %d entries, want 6 histories and anon-4's swept binding", n)
 	}
 }

@@ -308,13 +308,6 @@ func (a *Agent) FlushUploads(now time.Time) (int, error) {
 	sent := 0
 	var firstErr error
 	for i, u := range due {
-		if u.Key == "" {
-			// Uploads spooled by a pre-idempotency build carry no key;
-			// stamp one now so this and every later delivery attempt of
-			// the entry share it.
-			u.Key = anonymity.NewUploadKey()
-			due[i] = u
-		}
 		tok, err := a.fetchToken()
 		if err != nil {
 			// Token issuance is unavailable for this period; spool

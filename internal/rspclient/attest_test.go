@@ -60,6 +60,7 @@ func TestAgentAttestsThenUploadsOverHTTP(t *testing.T) {
 		AnonID: history.AnonID(agent.Ru(), "yelp/a"),
 		Entity: "yelp/a",
 		Record: &rec,
+		Key:    anonymity.NewUploadKey(),
 	}, simclock.Epoch)
 	if _, err := agent.FlushUploads(simclock.Epoch.Add(time.Hour)); err == nil {
 		t.Fatal("unattested flush succeeded")

@@ -171,10 +171,10 @@ func (r *Router) SubmitTraining(features []float64, rating float64, category str
 }
 
 // Retrain fans the retrain to every partition. Each node's retrain is
-// already a barrier commit in its own log (all lanes drain before the
-// model installs), so the cluster-wide operation is N independent
-// barriers; partitions that fail are reported together and can be
-// retried — retraining is idempotent on a quiet corpus.
+// one record in its own log, ordered after the training pairs that
+// node holds, so the cluster-wide operation is N independent retrains;
+// partitions that fail are reported together and can be retried —
+// retraining is idempotent on a quiet corpus.
 func (r *Router) Retrain() error {
 	var errs []string
 	for p, t := range r.parts {
@@ -190,9 +190,11 @@ func (r *Router) Retrain() error {
 }
 
 // FraudSweep fans the §4.3 fraud sweep to every partition and sums the
-// per-partition results. Like Retrain, each leg is a local barrier
-// commit; a failed partition fails the whole call so the operator
-// re-runs it rather than trusting a half-swept cluster.
+// per-partition results. Each leg commits one drop record per affected
+// entity on that node, so a leg cut short leaves a smaller sweep; a
+// failed partition fails the whole call so the operator re-runs it —
+// sweeping is safe to repeat — rather than trusting a half-swept
+// cluster.
 func (r *Router) FraudSweep() (scanned, discarded int, err error) {
 	var errs []string
 	for p, t := range r.parts {

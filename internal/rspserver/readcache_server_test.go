@@ -4,14 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"opinions/internal/attest"
+	"opinions/internal/inference"
+	"opinions/internal/interaction"
 	"opinions/internal/simclock"
+	"opinions/internal/stats"
+	"opinions/internal/store"
 	"opinions/internal/world"
 )
 
@@ -257,5 +263,81 @@ func TestStoreRestoreFlushesCache(t *testing.T) {
 	}
 	if n := srv.ReadCache().Len(); n != 0 {
 		t.Fatalf("%d cache entries survived store-level restore (follower snapshot path)", n)
+	}
+}
+
+// getBody fetches url and returns its status and body bytes.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// Cache invalidation follows the record: a retrain changes no served
+// read state, so cached entity responses survive it byte for byte; a
+// sweep record invalidates only the entity whose histories it drops.
+func TestRetrainKeepsCacheSweepInvalidatesItsEntity(t *testing.T) {
+	srv, ts := testServer(t)
+	cache := srv.ReadCache()
+	st := srv.Store()
+	for i, ent := range []string{"yelp/a", "yelp/a", "yelp/b"} {
+		visit := interaction.Record{Entity: ent, Kind: interaction.VisitKind, Start: simclock.Epoch.Add(time.Duration(i) * time.Hour), Duration: time.Hour}
+		if err := st.Commit(&store.Record{Kind: store.KindUpload, AnonID: fmt.Sprintf("anon-%d", i), Entity: ent, Visit: &visit}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := stats.NewRNG(7)
+	for i := 0; i < 40; i++ {
+		x := make([]float64, inference.NumFeatures)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		if err := srv.AddTrainingPair(x, 3, "chinese"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	urlA, urlB := ts.URL+"/api/entity?key=yelp/a", ts.URL+"/api/entity?key=yelp/b"
+	_, bodyA := getBody(t, urlA)
+	_, bodyB := getBody(t, urlB)
+
+	if _, err := srv.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	h0, _, _ := cache.Stats()
+	if _, body := getBody(t, urlA); !bytes.Equal(body, bodyA) {
+		t.Fatalf("entity body changed across a retrain:\n%s\n%s", bodyA, body)
+	}
+	if h1, _, _ := cache.Stats(); h1 != h0+1 {
+		t.Fatalf("read after retrain not a hit: hits %d -> %d", h0, h1)
+	}
+
+	if err := st.Commit(&store.Record{Kind: store.KindSweep, Entity: "yelp/a", Dropped: []string{"anon-0"}}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after WireResult
+	if err := json.Unmarshal(bodyA, &before); err != nil {
+		t.Fatal(err)
+	}
+	h0, m0, _ := cache.Stats()
+	getJSON(t, urlA, &after)
+	if _, m1, _ := cache.Stats(); m1 != m0+1 {
+		t.Fatalf("read of the swept entity not a miss: misses %d -> %d", m0, m1)
+	}
+	if after.RawInteractions != before.RawInteractions-1 {
+		t.Fatalf("swept entity shows %d interactions, want %d", after.RawInteractions, before.RawInteractions-1)
+	}
+	if _, body := getBody(t, urlB); !bytes.Equal(body, bodyB) {
+		t.Fatalf("other entity's body changed across the sweep")
+	}
+	if h1, _, _ := cache.Stats(); h1 != h0+1 {
+		t.Fatalf("read of the other entity after the sweep not a hit: hits %d -> %d", h0, h1)
 	}
 }

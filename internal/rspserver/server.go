@@ -182,22 +182,20 @@ const (
 )
 
 // invalidateOnCommit is the store commit hook: it maps each applied
-// record to the cache entries it can stale. Uploads and reviews touch
-// exactly one entity's aggregates, so they invalidate that entity's
-// stripe only; retrains and fraud sweeps change inference-derived
-// state across entities, so they flush everything. Training pairs
-// change no served read state. Directory listings derive solely from
-// the immutable catalog and are never invalidated by commits.
+// record to the cache entries it can stale. Uploads, sweep records and
+// reviews touch exactly one entity's aggregates, so they invalidate
+// that entity's stripe only. Training pairs and retrains change no
+// served read state: no cached response reads the model. Directory
+// listings derive solely from the immutable catalog and are never
+// invalidated by commits.
 func (s *Server) invalidateOnCommit(rec *store.Record) {
 	switch rec.Kind {
-	case store.KindUpload:
+	case store.KindUpload, store.KindSweep:
 		s.cache.Invalidate(rec.Entity, cacheNSEntity)
 	case store.KindReview:
 		if rec.Review != nil {
 			s.cache.Invalidate(rec.Review.Entity, cacheNSEntity)
 		}
-	case store.KindRetrain, store.KindSweep:
-		s.cache.Reset()
 	}
 }
 
@@ -913,8 +911,9 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 
 // Retrain fits a fresh model set (global + per-category) on the
 // accumulated training pairs and installs it. The retrain is itself a
-// logged record: training is deterministic, so replay reproduces the
-// exact model from the pairs replayed before it.
+// logged record on the training pairs' commit stripe: training is
+// deterministic, so replay reproduces the exact model from the pairs
+// replayed before it.
 func (s *Server) Retrain() (*inference.ModelSet, error) {
 	rec := &store.Record{Kind: store.KindRetrain}
 	if err := s.st.Commit(rec); err != nil {
@@ -944,9 +943,15 @@ func (s *Server) handleFraudSweep(w http.ResponseWriter, r *http.Request) {
 
 // FraudSweep builds the typical-user profile from all stored histories
 // and drops the ones the §4.3 detector flags. It returns (scanned,
-// discarded). The detection runs against the striped read state; only
-// the resulting drops are committed — the log records WHICH histories
-// went, not the detector inputs, so replay cannot diverge.
+// discarded), discarded counting the drops committed. The detection
+// runs against the striped read state; only the resulting drops are
+// committed, one record per entity on that entity's commit stripe —
+// the log records WHICH histories went, not the detector inputs, so
+// replay cannot diverge. As many workers as the store has stripes
+// commit the records concurrently, so records on one stripe share a
+// group fsync and the stripes' fsyncs overlap. The first commit error
+// stops the hand-out and is returned; the entities committed before it
+// stay swept, and a re-run finishes the rest.
 func (s *Server) FraudSweep() (int, int, error) {
 	// An explicit latch check: a sweep that finds nothing to drop never
 	// reaches Commit, and a degraded store must still answer 503 — not
@@ -967,14 +972,54 @@ func (s *Server) FraudSweep() (int, int, error) {
 	if len(discarded) == 0 {
 		return len(all), 0, nil
 	}
-	ids := make([]string, len(discarded))
-	for i, h := range discarded {
-		ids[i] = h.AnonID
+	// all, and so discarded, lists each entity's histories together.
+	var recs []*store.Record
+	for len(discarded) > 0 {
+		n := 1
+		for n < len(discarded) && discarded[n].Entity == discarded[0].Entity {
+			n++
+		}
+		rec := &store.Record{Kind: store.KindSweep, Entity: discarded[0].Entity, Dropped: make([]string, n)}
+		for i, h := range discarded[:n] {
+			rec.Dropped[i] = h.AnonID
+		}
+		recs = append(recs, rec)
+		discarded = discarded[n:]
 	}
-	if err := s.st.Commit(&store.Record{Kind: store.KindSweep, Dropped: ids}); err != nil {
-		return len(all), 0, err
+	var (
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		next     int
+		dropped  int
+		firstErr error
+	)
+	for w := min(s.st.NumStripes(), len(recs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				if next == len(recs) || firstErr != nil {
+					mu.Unlock()
+					return
+				}
+				rec := recs[next]
+				next++
+				mu.Unlock()
+				err := s.st.Commit(rec)
+				mu.Lock()
+				switch {
+				case err == nil:
+					dropped += len(rec.Dropped)
+				case firstErr == nil:
+					firstErr = err
+				}
+				mu.Unlock()
+			}
+		}()
 	}
-	return len(all), len(discarded), nil
+	wg.Wait()
+	return len(all), dropped, firstErr
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	"opinions/internal/reviews"
 	"opinions/internal/simclock"
 	"opinions/internal/stats"
+	"opinions/internal/store"
 	"opinions/internal/world"
 )
 
@@ -405,6 +406,38 @@ func TestSearchBadLimit(t *testing.T) {
 	_, ts := testServer(t)
 	if resp := getJSON(t, ts.URL+"/api/search?limit=abc", nil); resp.StatusCode != 400 {
 		t.Fatalf("bad limit status %d", resp.StatusCode)
+	}
+}
+
+// TestSweptIDCannotRebind: a sweep drops a history but leaves its
+// anonymous ID bound to the entity, so the ID cannot start a history
+// on another entity (409 — an honest client, whose IDs are
+// H(ru‖entity), never tries), while re-uploading to the same entity
+// still works.
+func TestSweptIDCannotRebind(t *testing.T) {
+	srv, ts := testServer(t)
+	upload := func(entity, key string) int {
+		t.Helper()
+		return postJSON(t, ts.URL+"/api/upload", UploadRequest{
+			AnonID: "anon-swept", Entity: entity,
+			Record: &WireRecord{Kind: "visit", Start: simclock.Epoch, DurationS: 600},
+			Token:  fetchToken(t, ts.URL, "dev-"+key), Key: key,
+		}, nil).StatusCode
+	}
+	if code := upload("yelp/a", "key-rebind-1"); code != http.StatusAccepted {
+		t.Fatalf("first upload status %d", code)
+	}
+	if err := srv.Store().Commit(&store.Record{Kind: store.KindSweep, Entity: "yelp/a", Dropped: []string{"anon-swept"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(srv.Store().Histories().ByEntity("yelp/a")); n != 0 {
+		t.Fatalf("sweep left %d histories on yelp/a", n)
+	}
+	if code := upload("yelp/b", "key-rebind-2"); code != http.StatusConflict {
+		t.Fatalf("re-binding a swept ID to another entity: status %d, want 409", code)
+	}
+	if code := upload("yelp/a", "key-rebind-3"); code != http.StatusAccepted {
+		t.Fatalf("re-upload to the same entity after the sweep: status %d, want 202", code)
 	}
 }
 

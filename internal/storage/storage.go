@@ -15,7 +15,8 @@
 //	header       SavedAt, WALSeqs
 //	reviews      count; per review ID, Entity, Author, Rating, Text, Time
 //	opinions     count; per entity, in key order, the key and its ratings
-//	histories    count; per history AnonID, Entity, and its records
+//	histories    count; per history AnonID, Entity, and its records (none
+//	             for the binding of an ID whose history a sweep dropped)
 //	dedup keys   count; keys oldest first
 //	training     TrainX rows, TrainY, TrainCats
 //	models       present?; Global, then PerCategory in key order

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,12 +14,12 @@ import (
 // via ExportFrames (re-read from the per-stripe segments on disk) — and
 // a follower ingests that stream through CommitReplicated, which
 // applies records at the leader's exact (stripe, sequence) coordinates
-// so the two stores share one sequence space per stripe. Barrier
-// records travel once on the wire (Stripe == BarrierStripe) and land in
-// every stripe's log on both sides. SetCommitBarrier lets the
-// replication layer hold each local commit's acknowledgement until a
-// follower has durably acked that stripe's sequence (semi-synchronous
-// replication); without a barrier installed every call is a no-op.
+// so the two stores share one sequence space per stripe. Every frame
+// belongs to exactly one stripe, on disk and on the wire alike.
+// SetCommitBarrier lets the replication layer hold each local commit's
+// acknowledgement until a follower has durably acked that stripe's
+// sequence (semi-synchronous replication); without a barrier installed
+// every call is a no-op.
 
 // ErrReplicationLag is returned by Commit when the record is durable
 // locally but the replication commit barrier timed out waiting for a
@@ -42,21 +40,13 @@ var ErrReplicationGap = errors.New("store: replicated record out of sequence")
 // must seed from a snapshot instead.
 var ErrExportGap = errors.New("store: requested WAL frames no longer on disk")
 
-// BarrierStripe is the Stripe value of a barrier frame: the record is
-// not one stripe's — it consumed a sequence slot in every stripe
-// (Frame.Seqs), and its single wire copy must be applied against all of
-// them atomically.
-const BarrierStripe = -1
-
 // Frame is one committed record as it appears on the wire and in the
-// log. A single-stripe record carries its stripe index and the
-// sequence it holds there; a barrier record carries Stripe ==
-// BarrierStripe and its full per-stripe sequence vector. Payloads (and
-// Seqs) are shared across subscribers and must not be mutated.
+// log: its stripe index, the sequence it holds there, and its JSON
+// payload. Payloads are shared across subscribers and must not be
+// mutated.
 type Frame struct {
 	Stripe  int
 	Seq     uint64
-	Seqs    []uint64 // barrier frames only: the per-stripe sequences consumed
 	Payload []byte
 }
 
@@ -71,18 +61,18 @@ const (
 	// FrameNext: every sequence is exactly one past what is held — the
 	// frame extends the replica contiguously.
 	FrameNext
-	// FrameGap: anything else — frames were lost in between, or a
-	// barrier is held in some stripes and not others.
+	// FrameGap: anything else — frames were lost in between, or some
+	// stripes of a vector are held and others are not.
 	FrameGap
 )
 
 // FramePosition is the one rule that places a frame in a replica's
 // stream, on the leader (what a follower session was already sent) and
 // on the follower (what its lanes hold) alike. want is the sequence
-// the frame consumes in each stripe it spans, have the held sequence
-// of those same stripes: a single-stripe frame passes one-element
-// slices, a barrier the full vectors. A barrier delivered in only some
-// stripes is a gap, never a partial duplicate.
+// wanted in each stripe, have the held sequence of those same stripes:
+// a frame passes one-element slices, and the catch-up coverage checks
+// pass whole vectors, where FrameDup means have covers want in every
+// stripe and anything held in only some stripes is a gap.
 func FramePosition(have, want []uint64) Position {
 	held, next := 0, 0
 	for i, w := range want {
@@ -104,12 +94,10 @@ func FramePosition(have, want []uint64) Position {
 
 // FrameSub is a live subscription to the commit stream. Frames arrive
 // on C in per-stripe commit order starting strictly after StartVec;
-// frames of different stripes interleave in lane-lock order, and a
-// barrier frame is ordered against every stripe (it is published while
-// all lanes are held). The store never blocks a commit on a
-// subscriber: if the buffer fills, the subscription is marked lagged
-// and C is closed — the consumer restarts its catch-up (disk export or
-// snapshot) and resubscribes.
+// frames of different stripes interleave in lane-lock order. The store
+// never blocks a commit on a subscriber: if the buffer fills, the
+// subscription is marked lagged and C is closed — the consumer
+// restarts its catch-up (disk export or snapshot) and resubscribes.
 type FrameSub struct {
 	ch     chan Frame
 	start  []uint64
@@ -121,9 +109,8 @@ type FrameSub struct {
 func (f *FrameSub) C() <-chan Frame { return f.ch }
 
 // StartVec is the per-stripe sequence vector at subscription time:
-// every frame on C sits strictly above it in its stripe (a barrier
-// frame strictly above it in every stripe), and everything at or below
-// must come from ExportFrames or a snapshot.
+// every frame on C sits strictly above it in its stripe, and everything
+// at or below must come from ExportFrames or a snapshot.
 func (f *FrameSub) StartVec() []uint64 {
 	return append([]uint64(nil), f.start...)
 }
@@ -174,10 +161,9 @@ func (s *Store) Unsubscribe(sub *FrameSub) {
 }
 
 // publish fans one committed frame out to subscribers. The caller
-// holds the frame's lane — every lane for a barrier frame — so
-// publication order within a stripe IS that stripe's commit order, and
-// a barrier is totally ordered against all stripes. Sends never block:
-// a subscriber with a full buffer is dropped as lagged.
+// holds the frame's lane, so publication order within a stripe IS that
+// stripe's commit order. Sends never block: a subscriber with a full
+// buffer is dropped as lagged.
 func (s *Store) publish(f Frame) {
 	if s.nsubs.Load() == 0 {
 		return
@@ -236,31 +222,15 @@ func (s *Store) BaseVector() []uint64 {
 	return append([]uint64(nil), s.base...)
 }
 
-// exportFrame is one on-disk frame staged for export merge.
-type exportFrame struct {
-	seq     uint64
-	seqs    []uint64 // non-nil for barrier records
-	payload []byte
-}
-
-// stripeSeqsKey is the cheap pre-filter for barrier detection during
-// export: only payloads containing it are decoded.
-var stripeSeqsKey = []byte(`"stripe_seqs"`)
-
-// ExportFrames invokes fn, in per-stripe order, for every intact frame
-// on disk strictly above the from vector, and returns the vector
-// delivered. Frames of different stripes are interleaved in rounds
-// split at barriers: each stripe's records up to the next barrier,
-// then the barrier exactly once (Stripe == BarrierStripe) — the same
-// interleaving contract a follower needs to apply them. It first
-// flushes and fsyncs every active segment so every record committed
-// before the call is visible; frames appended concurrently may or may
-// not appear (a torn in-flight tail, or a barrier not yet durable in
-// every scanned stripe, simply ends the export — the caller's live
-// subscription covers it). Returns ErrExportGap (possibly wrapped)
-// when frames past from are compacted away. Compaction is held off for
-// the duration, so a slow fn extends the life of the current segments
-// but never corrupts them.
+// ExportFrames invokes fn for every intact frame on disk strictly
+// above the from vector, each stripe's frames in order, and returns the
+// vector delivered. It first flushes and fsyncs every active segment so
+// every record committed before the call is visible; frames appended
+// concurrently may or may not appear (a torn in-flight tail simply ends
+// that stripe's export — the caller's live subscription covers it).
+// Returns ErrExportGap (possibly wrapped) when frames past from are
+// compacted away. Compaction is held off for the duration, so a slow
+// fn extends the life of the current segments but never corrupts them.
 func (s *Store) ExportFrames(from []uint64, fn func(f Frame) error) ([]uint64, error) {
 	n := len(s.lanes)
 	if len(from) != n {
@@ -287,120 +257,52 @@ func (s *Store) ExportFrames(from []uint64, fn func(f Frame) error) ([]uint64, e
 	if err != nil {
 		return last, err
 	}
-	staged := make([][]exportFrame, n)
+	// Segments come stripe by stripe, each stripe oldest-first; a torn
+	// tail can only be the newest segment's in-flight frame, so the scan
+	// simply moves on to the next segment.
 	for _, seg := range segs {
 		i := seg.stripe
-		_, torn, err := replaySegment(seg.path, func(seq uint64, payload []byte) error {
-			if seq <= from[i] {
+		_, _, err := replaySegment(seg.path, func(seq uint64, payload []byte) error {
+			if seq <= last[i] {
 				return nil // predates the request, or duplicated across segments
 			}
-			want := from[i] + uint64(len(staged[i])) + 1
-			if seq != want {
-				return fmt.Errorf("%w (stripe %d: have %d, next on disk is %d)", ErrExportGap, i, want-1, seq)
+			if seq != last[i]+1 {
+				return fmt.Errorf("%w (stripe %d: have %d, next on disk is %d)", ErrExportGap, i, last[i], seq)
 			}
-			f := exportFrame{seq: seq, payload: append([]byte(nil), payload...)}
-			if bytes.Contains(payload, stripeSeqsKey) {
-				var probe struct {
-					StripeSeqs []uint64 `json:"stripe_seqs"`
-				}
-				if err := json.Unmarshal(payload, &probe); err != nil {
-					return fmt.Errorf("store: decoding frame %d in %s: %w", seq, seg.path, err)
-				}
-				f.seqs = probe.StripeSeqs
+			if err := fn(Frame{Stripe: i, Seq: seq, Payload: payload}); err != nil {
+				return err
 			}
-			staged[i] = append(staged[i], f)
+			last[i] = seq
 			return nil
 		})
 		if err != nil {
 			return last, err
 		}
-		if torn {
-			// A concurrently-appended in-flight tail: everything durable in
-			// this stripe was read; stop at the segment (segments within a
-			// stripe are scanned oldest-first, and only the newest is live).
-			continue
-		}
 	}
-	cursors := make([]int, n)
-	for {
-		for i := 0; i < n; i++ {
-			for cursors[i] < len(staged[i]) {
-				f := staged[i][cursors[i]]
-				if f.seqs != nil {
-					break // rendezvous at the barrier
-				}
-				if err := fn(Frame{Stripe: i, Seq: f.seq, Payload: f.payload}); err != nil {
-					return last, err
-				}
-				last[i] = f.seq
-				cursors[i]++
-			}
-		}
-		var bar *exportFrame
-		exhausted := false
-		for i := 0; i < n; i++ {
-			if cursors[i] >= len(staged[i]) {
-				exhausted = true
-				continue
-			}
-			f := &staged[i][cursors[i]]
-			if bar == nil {
-				bar = f
-			} else if !slices.Equal(bar.seqs, f.seqs) {
-				return last, fmt.Errorf("store: stripes disagree on the next barrier during export (%v vs %v)", bar.seqs, f.seqs)
-			}
-		}
-		if bar == nil {
-			return last, nil
-		}
-		if exhausted {
-			// The barrier landed mid-export and some stripes were scanned
-			// before its copy reached them. It is not yet provably durable
-			// everywhere from this view — end the export at the round
-			// boundary; the live subscription carries the barrier.
-			return last, nil
-		}
-		if err := fn(Frame{Stripe: BarrierStripe, Seqs: bar.seqs, Payload: bar.payload}); err != nil {
-			return last, err
-		}
-		copy(last, bar.seqs)
-		for i := range cursors {
-			cursors[i]++
-		}
-	}
+	return last, nil
 }
 
 // CommitReplicated applies one leader frame at the leader's exact
-// coordinates through the same lane and barrier commits Commit uses:
-// append to this store's own log and wait for the fsync — the
-// follower's durability promise is as strong as the leader's, which is
-// what lets an ack stand in for the leader's own disk after failover.
-// A barrier frame (payload carrying stripe_seqs, conventionally
-// delivered with stripeIdx == BarrierStripe) is applied once and
-// logged to every stripe, fsynced everywhere before the call returns.
-// Duplicate delivery (already applied) is a silent no-op; a sequence
-// gap, or a barrier held in only some stripes, is ErrReplicationGap and
-// the session must re-seed.
+// coordinates through the same lane commit Commit uses: append to this
+// store's own log and wait for the fsync — the follower's durability
+// promise is as strong as the leader's, which is what lets an ack
+// stand in for the leader's own disk after failover. Duplicate
+// delivery (already applied) is a silent no-op; a sequence gap is
+// ErrReplicationGap and the session must re-seed.
 func (s *Store) CommitReplicated(stripeIdx int, seq uint64, payload []byte) error {
 	if s.failed.Load() {
 		metricStoreUnavailable.Inc()
 		return ErrUnavailable
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("store: decoding replicated record %d: %w", seq, err)
-	}
-	if rec.StripeSeqs != nil || stripeIdx == BarrierStripe {
-		if len(rec.StripeSeqs) != len(s.lanes) {
-			return fmt.Errorf("store: replicated barrier spans %d stripes, store has %d", len(rec.StripeSeqs), len(s.lanes))
-		}
-		return s.commitBarrier(&rec, rec.StripeSeqs, payload)
 	}
 	if stripeIdx < 0 || stripeIdx >= len(s.lanes) {
 		return fmt.Errorf("store: replicated record for stripe %d, store has %d stripes", stripeIdx, len(s.lanes))
 	}
 	if seq == 0 {
 		return fmt.Errorf("store: replicated record for stripe %d has sequence 0", stripeIdx)
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("store: decoding replicated record %d: %w", seq, err)
 	}
 	return s.commitLane(stripeIdx, seq, &rec, payload)
 }
@@ -434,29 +336,19 @@ func (s *Store) AckBarrier(stripeIdx int, seq uint64) error {
 	return (*p)(stripeIdx, seq)
 }
 
-// AckBarrierVec runs the barrier for every stripe of a barrier
-// record's vector; the waits are sequential, so the worst case is one
-// timeout per stripe — acceptable for rare administrative mutations.
-func (s *Store) AckBarrierVec(seqs []uint64) error {
+// AckBarrierAll gates on the store's full current vector, stripe by
+// stripe. Exposed so acknowledgement paths that bypass Commit — the
+// server's idempotent-replay fast path — can still refuse to ack ahead
+// of replication.
+func (s *Store) AckBarrierAll() error {
 	p := s.barrier.Load()
 	if p == nil {
 		return nil
 	}
-	for i, seq := range seqs {
+	for i, seq := range s.SeqVector() {
 		if err := (*p)(i, seq); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// AckBarrierAll gates on the store's full current vector. Exposed so
-// acknowledgement paths that bypass Commit — the server's
-// idempotent-replay fast path — can still refuse to ack ahead of
-// replication.
-func (s *Store) AckBarrierAll() error {
-	if s.barrier.Load() == nil {
-		return nil
-	}
-	return s.AckBarrierVec(s.SeqVector())
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -211,9 +210,9 @@ func TestCommitBarrierGatesAcks(t *testing.T) {
 }
 
 // TestExportReplayMultiStripe: a full multi-stripe export — uploads
-// spread across stripes plus a cross-stripe barrier — replayed through
+// spread across stripes plus a sweep record — replayed through
 // CommitReplicated rebuilds an identical store: same vector, same
-// state, barrier delivered exactly once.
+// state, every record delivered exactly once.
 func TestExportReplayMultiStripe(t *testing.T) {
 	src := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, Stripes: 4, CompactEvery: -1})
 	defer src.Close()
@@ -223,7 +222,7 @@ func TestExportReplayMultiStripe(t *testing.T) {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	if err := src.Commit(&Record{Kind: KindSweep, Dropped: []string{"mx-3"}}); err != nil {
+	if err := src.Commit(&Record{Kind: KindSweep, Entity: "ent/3", Dropped: []string{"mx-3"}}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	for i := 12; i < 16; i++ {
@@ -235,18 +234,16 @@ func TestExportReplayMultiStripe(t *testing.T) {
 
 	dst := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, Stripes: 4, CompactEvery: -1})
 	defer dst.Close()
-	barriers := 0
+	frames := 0
 	last, err := src.ExportFrames(make([]uint64, 4), func(f Frame) error {
-		if f.Stripe == BarrierStripe {
-			barriers++
-		}
+		frames++
 		return dst.CommitReplicated(f.Stripe, f.Seq, f.Payload)
 	})
 	if err != nil {
 		t.Fatalf("ExportFrames: %v", err)
 	}
-	if barriers != 1 {
-		t.Fatalf("barrier emitted %d times, want exactly once", barriers)
+	if frames != 17 {
+		t.Fatalf("exported %d frames, want the 17 records committed", frames)
 	}
 	if want := src.SeqVector(); !equalSeqs(last, want) {
 		t.Fatalf("export ended at %v, want %v", last, want)
@@ -257,10 +254,8 @@ func TestExportReplayMultiStripe(t *testing.T) {
 	if got, want := dst.Histories().Stats().Records, src.Histories().Stats().Records; got != want {
 		t.Fatalf("replica records %d, source %d", got, want)
 	}
-	for _, h := range dst.Histories().ByEntity("ent/3") {
-		if len(h.Records) != 0 {
-			t.Fatal("sweep barrier did not replay on the replica")
-		}
+	if got := dst.Histories().ByEntity("ent/3"); len(got) != 0 {
+		t.Fatalf("sweep did not replay on the replica: ent/3 holds %d histories", len(got))
 	}
 	// Replaying the same stream again is a pile of no-ops, not a fork.
 	_, err = src.ExportFrames(make([]uint64, 4), func(f Frame) error {
@@ -275,11 +270,8 @@ func TestExportReplayMultiStripe(t *testing.T) {
 }
 
 // TestFramePosition: the one rule that places a frame against what a
-// replica holds — single frames by one stripe's sequence, barriers by
-// the whole vector. Every barrier row is also delivered through
-// CommitReplicated to a 2-stripe follower brought to have by single
-// frames: a dup is a no-op, next applies the barrier, a gap is refused
-// with ErrReplicationGap and leaves the vector where it was.
+// replica holds — a frame by its stripe's sequence, a catch-up check by
+// the whole vector, where anything held in only some stripes is a gap.
 func TestFramePosition(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -300,56 +292,29 @@ func TestFramePosition(t *testing.T) {
 			if got := FramePosition(c.have, c.want); got != c.pos {
 				t.Fatalf("FramePosition(%v, %v) = %d, want %d", c.have, c.want, got, c.pos)
 			}
-			if len(c.want) != 2 {
-				return
-			}
-			f := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 2})
-			defer f.Close()
-			for stripe, n := range c.have {
-				for seq := uint64(1); seq <= n; seq++ {
-					key := fmt.Sprintf("pos-%d-%d", stripe, seq)
-					payload, _ := json.Marshal(uploadRec(key, "ent/x", 4.0, key))
-					if err := f.CommitReplicated(stripe, seq, payload); err != nil {
-						t.Fatalf("bringing stripe %d to %d: %v", stripe, seq, err)
-					}
-				}
-			}
-			var wantErr error
-			wantVec := c.have
-			switch c.pos {
-			case FrameGap:
-				wantErr = ErrReplicationGap
-			case FrameNext:
-				wantVec = c.want
-			}
-			payload, _ := json.Marshal(&Record{Kind: KindSweep, StripeSeqs: c.want})
-			if err := f.CommitReplicated(BarrierStripe, c.want[0], payload); !errors.Is(err, wantErr) {
-				t.Fatalf("barrier %v at %v = %v, want %v", c.want, c.have, err, wantErr)
-			}
-			if got := f.SeqVector(); !equalSeqs(got, wantVec) {
-				t.Fatalf("vector after barrier = %v, want %v", got, wantVec)
-			}
 		})
 	}
 }
 
-// TestReplicatedBarriersCommitLikeLocal: barrier frames taken from a
-// leader go through the same commit as the leader's own barriers — they
-// count toward auto-compaction and raise store_commits_total{kind} and
-// store_barrier_commits_total by one each, as on the leader.
-func TestReplicatedBarriersCommitLikeLocal(t *testing.T) {
+// TestReplicatedSweepsCommitLikeLocal: sweep records taken from a
+// leader go through the same commit as the leader's own — they count
+// toward auto-compaction and raise store_commits_total{kind} by one
+// each, as on the leader — and a reopened follower holds the leader's
+// vector.
+func TestReplicatedSweepsCommitLikeLocal(t *testing.T) {
 	const n = 4
 	sweeps := metricStoreCommits.With(string(KindSweep))
 	leader := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 2})
 	defer leader.Close()
-	sweeps0, barriers0 := sweeps.Value(), metricBarrierCommits.Value()
+	sweeps0 := sweeps.Value()
 	for i := 0; i < n; i++ {
-		if err := leader.Commit(&Record{Kind: KindSweep, Dropped: []string{fmt.Sprintf("gone-%d", i)}}); err != nil {
+		rec := &Record{Kind: KindSweep, Entity: fmt.Sprintf("ent/%d", i), Dropped: []string{fmt.Sprintf("gone-%d", i)}}
+		if err := leader.Commit(rec); err != nil {
 			t.Fatalf("sweep %d: %v", i, err)
 		}
 	}
-	if d, b := sweeps.Value()-sweeps0, metricBarrierCommits.Value()-barriers0; d != n || b != n {
-		t.Fatalf("leader: %d sweeps raised the sweep counter by %d and the barrier counter by %d", n, d, b)
+	if d := sweeps.Value() - sweeps0; d != n {
+		t.Fatalf("leader: %d sweeps raised the sweep counter by %d", n, d)
 	}
 	var frames []Frame
 	if _, err := leader.ExportFrames(make([]uint64, 2), func(f Frame) error {
@@ -358,21 +323,20 @@ func TestReplicatedBarriersCommitLikeLocal(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("export: %v", err)
 	}
+	if len(frames) != n {
+		t.Fatalf("exported %d frames, want %d sweeps", len(frames), n)
+	}
 
 	dir := t.TempDir()
 	follower := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: 2, Stripes: 2})
-	sweeps0, barriers0 = sweeps.Value(), metricBarrierCommits.Value()
-	replicated0 := metricStoreReplicated.Value()
+	sweeps0, replicated0 := sweeps.Value(), metricStoreReplicated.Value()
 	for _, f := range frames {
 		if err := follower.CommitReplicated(f.Stripe, f.Seq, f.Payload); err != nil {
-			t.Fatalf("replicating %v: %v", f.Seqs, err)
+			t.Fatalf("replicating (%d, %d): %v", f.Stripe, f.Seq, err)
 		}
 	}
-	if len(frames) != n {
-		t.Fatalf("exported %d frames, want %d barriers", len(frames), n)
-	}
-	if d, b, r := sweeps.Value()-sweeps0, metricBarrierCommits.Value()-barriers0, metricStoreReplicated.Value()-replicated0; d != n || b != n || r != n {
-		t.Fatalf("follower: %d replicated sweeps raised the sweep counter by %d, the barrier counter by %d, the replicated counter by %d", n, d, b, r)
+	if d, r := sweeps.Value()-sweeps0, metricStoreReplicated.Value()-replicated0; d != n || r != n {
+		t.Fatalf("follower: %d replicated sweeps raised the sweep counter by %d, the replicated counter by %d", n, d, r)
 	}
 	// The fold runs on a background goroutine; give it a bounded moment.
 	deadline := time.Now().Add(5 * time.Second)
@@ -381,7 +345,7 @@ func TestReplicatedBarriersCommitLikeLocal(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot after %d replicated barriers with CompactEvery 2", n)
+			t.Fatalf("no snapshot after %d replicated sweeps with CompactEvery 2", n)
 		}
 		time.Sleep(time.Millisecond)
 	}

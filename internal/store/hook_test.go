@@ -10,7 +10,7 @@ import (
 
 // The commit hook must fire once per applied record — after the apply,
 // so a hook that reads store state sees the commit it is told about —
-// for both plain commits and cross-stripe barriers.
+// for every kind, a sweep record included.
 func TestCommitHookFires(t *testing.T) {
 	s := mustOpen(t, Options{})
 	var mu sync.Mutex
@@ -73,15 +73,15 @@ func TestRestoreHookFires(t *testing.T) {
 			if fired != 0 {
 				t.Fatalf("restore hook fired on commit: %d", fired)
 			}
-			snap := s.Snapshot()
-			if err := s.Restore(snap); err != nil {
+			// Restore owns the snapshot it is handed: each call gets its own.
+			if err := s.Restore(s.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 			if fired != 1 {
 				t.Fatalf("fired = %d after restore, want 1", fired)
 			}
 			s.SetRestoreHook(nil)
-			if err := s.Restore(snap); err != nil {
+			if err := s.Restore(s.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 			if fired != 1 {

@@ -65,11 +65,13 @@ func openQuiet(dir string, stripes int) (*Store, error) {
 	return Open(Options{Dir: dir, NoSync: true, Stripes: stripes, CompactEvery: -1, Clock: simclock.NewSim(simclock.Epoch), Logger: quietLog()})
 }
 
-// TestOpenRefusesOldFormats: state written by releases before snapshot
-// format v5 — a gzip-JSON snapshot.gz, or pre-sharding wal-<gen>.log
-// segments, alone or beside current files — makes Open fail with an
-// error naming the file, and leaves the file where it was. Starting
-// without it would silently drop acknowledged records.
+// TestOpenRefusesOldFormats: state written by earlier releases — a
+// gzip-JSON snapshot.gz, pre-sharding wal-<gen>.log segments (alone or
+// beside current files), or a segment holding a cross-stripe barrier
+// record — makes Open fail with an error naming the file, and leaves
+// the file where it was. Starting without it would silently drop
+// acknowledged records; replaying a barrier's copies would apply it
+// once per stripe.
 func TestOpenRefusesOldFormats(t *testing.T) {
 	cases := []struct {
 		name string
@@ -96,6 +98,21 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 			s.Close()
 		}, func(t *testing.T, dir string) string {
 			return writeLegacySegment(t, dir, 3)
+		}},
+		{"barrier record", nil, func(t *testing.T, dir string) string {
+			// A cross-stripe sweep as builds before one-lane sweeps wrote
+			// it: a copy at the next sequence of every stripe.
+			path := segmentPath(dir, 0, 1)
+			payload := []byte(`{"kind":"sweep","stripe_seqs":[1,1],"dropped":["mig-anon-0"]}`)
+			var hdr [frameHeaderLen]byte
+			binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+			binary.BigEndian.PutUint32(hdr[4:8], crcFrame(1, payload))
+			binary.BigEndian.PutUint64(hdr[8:16], 1)
+			data := append(append([]byte(segMagic), hdr[:]...), payload...)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
 		}},
 		{"legacy segment beside v5 snapshot", func(t *testing.T, dir string) {
 			s := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 2, CompactEvery: -1})

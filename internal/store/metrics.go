@@ -55,8 +55,6 @@ var (
 		"Frame subscriptions dropped for falling behind the commit stream.")
 	metricStripeContention = obs.Default.Gauge("commit_stripe_contention",
 		"Committers currently blocked waiting for a stripe another commit holds.")
-	metricBarrierCommits = obs.Default.Counter("store_barrier_commits_total",
-		"Cross-stripe barrier records committed (retrains, fraud sweeps).")
 )
 
 // laneMetrics is the resolved per-stripe handle set: label lookups

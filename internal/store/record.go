@@ -22,12 +22,15 @@ const (
 	// KindTrainPair is one volunteered training example.
 	KindTrainPair Kind = "train_pair"
 	// KindRetrain is a model retrain over the accumulated pairs. The
-	// record carries no model — training is deterministic, so replay
-	// reproduces it from the pairs already replayed.
+	// record carries no model — training is deterministic, and the
+	// record commits on the training pairs' stripe, so replay
+	// reproduces it from the pairs replayed before it.
 	KindRetrain Kind = "retrain"
-	// KindSweep is a fraud sweep; the record carries the anonymous IDs
-	// that were dropped, not the detector inputs, so replay cannot
-	// diverge even if the detector's profile would differ mid-replay.
+	// KindSweep is a fraud sweep's verdict on one entity: the anonymous
+	// IDs of that entity's histories it dropped, not the detector
+	// inputs, so replay cannot diverge even if the detector's profile
+	// would differ mid-replay. A sweep touching several entities
+	// commits one record per entity.
 	KindSweep Kind = "sweep"
 )
 
@@ -49,15 +52,7 @@ type Record struct {
 
 	Kind Kind `json:"kind"`
 
-	// StripeSeqs marks a barrier record — a cross-stripe mutation
-	// (retrain, fraud sweep) whose global position matters. The commit
-	// acquires every stripe, assigns the record the next sequence in each
-	// (StripeSeqs[i] for stripe i), and appends an identical copy to
-	// every stripe's log; recovery rendezvouses all stripes at the
-	// barrier before applying it once. Nil on single-stripe records.
-	StripeSeqs []uint64 `json:"stripe_seqs,omitempty"`
-
-	// KindUpload fields.
+	// KindUpload fields; Entity also names a KindSweep record's entity.
 	AnonID string              `json:"anon_id,omitempty"`
 	Entity string              `json:"entity,omitempty"`
 	Visit  *interaction.Record `json:"visit,omitempty"`
@@ -78,7 +73,8 @@ type Record struct {
 	TrainRating float64   `json:"train_rating,omitempty"`
 	Category    string    `json:"category,omitempty"`
 
-	// KindSweep field: the anonymous IDs the sweep discarded.
+	// KindSweep field: the anonymous IDs of Entity's histories the
+	// sweep discarded. A non-empty list needs an Entity.
 	Dropped []string `json:"dropped,omitempty"`
 
 	// out carries the apply's product back to the committer (the posted

@@ -97,9 +97,13 @@ func (st *state) apply(rec *Record) error {
 	case KindSweep:
 		// The record names the dropped IDs rather than re-running the
 		// detector: mid-replay the profile would be built from partial
-		// state and could flag a different set.
+		// state and could flag a different set. Only histories on
+		// rec.Entity are dropped — the ones its stripe orders.
+		if rec.Entity == "" && len(rec.Dropped) > 0 {
+			return errors.New("store: sweep record drops histories but names no entity")
+		}
 		for _, id := range rec.Dropped {
-			st.histories.Drop(id)
+			st.histories.Drop(id, rec.Entity)
 		}
 		return nil
 	default:

@@ -9,18 +9,18 @@
 // stripe by its entity key (the same FNV-1a hash the read stores
 // stripe on), and every stripe owns its own WAL segment family, its
 // own sequence space, and its own group-commit syncer — commits to
-// different stripes never contend on a lock or an fsync. Cross-stripe
-// mutations (retrain, fraud sweep) commit as barrier records: the
-// commit acquires every stripe, stamps the record with the next
-// sequence of each, and appends an identical copy to every stripe's
-// log, so recovery — which replays stripes in parallel — can
-// rendezvous all stripes at the barrier and re-establish the global
-// order exactly where it matters. Background compaction folds the
-// per-stripe logs into a storage.Snapshot, which carries the
-// per-stripe sequence vector; recovery loads the snapshot, replays
-// every stripe past its folded sequence, and repairs torn tails per
-// stripe, so an unclean kill loses nothing that was acknowledged and
-// duplicates nothing that was not.
+// different stripes never contend on a lock or an fsync. Every record
+// lives in exactly one lane: a fraud sweep commits one record per
+// affected entity, routed like that entity's uploads, and a retrain
+// routes to stripe 0 with the training pairs it reads. Since history
+// IDs stay bound to their entity after a sweep, no record's outcome
+// depends on how the lanes interleave, so recovery replays the stripes
+// in parallel and exactly. Background compaction folds the per-stripe
+// logs into a storage.Snapshot, which carries the per-stripe sequence
+// vector; recovery loads the snapshot, replays every stripe past its
+// folded sequence, and repairs torn tails per stripe, so an unclean
+// kill loses nothing that was acknowledged and duplicates nothing that
+// was not.
 //
 // Reads never touch any commit lock: the underlying stores are sharded
 // by entity key (internal/stripe), so search-time aggregation over one
@@ -109,8 +109,7 @@ type Options struct {
 // group-committed log. Commits on different lanes run concurrently end
 // to end — including their fsyncs.
 type lane struct {
-	idx int
-	mu  sync.Mutex
+	mu sync.Mutex
 	// seq is written only under mu; the atomic lets Seq()/SeqVector()
 	// read without touching the commit path.
 	seq atomic.Uint64
@@ -140,8 +139,8 @@ type Store struct {
 
 	state *state
 
-	// lanes are the commit stripes. Multi-lane operations (barrier
-	// commits, snapshot cuts, compaction, restore, close) always acquire
+	// lanes are the commit stripes. Multi-lane operations (snapshot
+	// cuts, subscriptions, compaction, restore, close) always acquire
 	// lane locks in ascending index order.
 	lanes []*lane
 
@@ -174,13 +173,13 @@ type Store struct {
 }
 
 // SetCommitHook registers fn to observe every record applied through
-// this store — local commits, barrier commits, and replicated commits
-// alike. The hook runs after the record is applied to memory, while
-// the commit lane lock(s) are still held, so per-entity invalidation
-// is ordered exactly against that entity's commit order; fn must be
-// fast and must not call back into the store. One hook is supported
-// (the read-cache layer); recovery replay at Open precedes any
-// registration and is not observed. Passing nil removes the hook.
+// this store — local and replicated commits alike. The hook runs after
+// the record is applied to memory, while the commit lane lock is still
+// held, so per-entity invalidation is ordered exactly against that
+// entity's commit order; fn must be fast and must not call back into
+// the store. One hook is supported (the read-cache layer); recovery
+// replay at Open precedes any registration and is not observed.
+// Passing nil removes the hook.
 func (s *Store) SetCommitHook(fn func(*Record)) {
 	if fn == nil {
 		s.onCommit.Store(nil)
@@ -221,8 +220,7 @@ func (s *Store) notifyRestore() {
 }
 
 // lockAll acquires every lane in ascending order — the one global lock
-// order that makes barrier commits, snapshot cuts, and parallel
-// single-lane commits deadlock-free.
+// order that keeps snapshot cuts and parallel commits deadlock-free.
 func (s *Store) lockAll() {
 	for _, ln := range s.lanes {
 		ln.lock()
@@ -235,22 +233,11 @@ func (s *Store) unlockAll() {
 	}
 }
 
-// scannedFrame is one intact WAL frame held in memory between the
-// parallel recovery scan and the parallel replay.
-type scannedFrame struct {
-	seq  uint64
-	rec  *Record
-	path string // segment the frame lives in
-	off  int64  // byte offset of the frame within path
-}
-
 // Open builds a store. With a Dir it recovers on the spot: load the
-// snapshot if present, scan every stripe's WAL segments in parallel,
-// resolve cross-stripe barriers, then replay the stripes in parallel —
-// rendezvousing at each barrier — and start a fresh active segment per
-// stripe. Torn tails are repaired per stripe; a torn or corrupt record
-// anywhere but a tail is an error — that is not a crash artifact but
-// lost data.
+// snapshot if present, replay every stripe's WAL segments past it in
+// parallel, and start a fresh active segment per stripe. Torn tails
+// are repaired per stripe; a torn or corrupt record anywhere but a
+// tail is an error — that is not a crash artifact but lost data.
 func Open(opts Options) (*Store, error) {
 	clock := opts.Clock
 	if clock == nil {
@@ -283,7 +270,7 @@ func Open(opts Options) (*Store, error) {
 		lanes:        make([]*lane, nstripes),
 	}
 	for i := range s.lanes {
-		s.lanes[i] = &lane{idx: i}
+		s.lanes[i] = &lane{}
 	}
 	if opts.Dir == "" {
 		return s, nil
@@ -334,140 +321,29 @@ func Open(opts Options) (*Store, error) {
 			"snapshot_stripes", len(snapVec), "stripes", nstripes)
 	}
 
-	// Phase 1 — scan every stripe's segments in parallel into memory,
-	// repairing torn tails per stripe.
-	frames := make([][]scannedFrame, nstripes)
+	// Each stripe's records apply in its own log order, concurrently
+	// with the other stripes: routing pins an entity to one stripe, and
+	// since history IDs never re-bind to another entity, no record's
+	// outcome depends on how the stripes interleave.
+	end := make([]uint64, nstripes)
 	maxGens := make([]int, nstripes)
-	scanErrs := make([]error, nstripes)
+	errs := make([]error, nstripes)
 	var wg sync.WaitGroup
 	for i := 0; i < nstripes; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			frames[i], maxGens[i], scanErrs[i] = scanLane(i, nstripes, striped[i], base[i], foldLimit[i], logger)
+			end[i], maxGens[i], errs[i] = s.replayLane(i, striped[i], base[i], foldLimit[i])
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range scanErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
-	// Phase 2 — resolve barrier tails. A barrier is durable only once
-	// its copy is on disk in every stripe, and the commit holds every
-	// lane across its fsync wave, so an incomplete barrier can only be
-	// the final frame of the stripes that have it: it was never
-	// acknowledged, and dropping it loses nothing.
-	end := make([]uint64, nstripes)
-	for i := range end {
-		end[i] = base[i]
-		if n := len(frames[i]); n > 0 {
-			end[i] = frames[i][n-1].seq
-		}
-	}
-	for dropped := true; dropped; {
-		dropped = false
-		for i := range frames {
-			n := len(frames[i])
-			if n == 0 {
-				continue
-			}
-			tail := frames[i][n-1]
-			if tail.rec.StripeSeqs == nil || FramePosition(end, tail.rec.StripeSeqs) == FrameDup {
-				continue
-			}
-			if err := os.Truncate(tail.path, tail.off); err != nil {
-				return nil, fmt.Errorf("store: dropping unacknowledged barrier tail: %w", err)
-			}
-			frames[i] = frames[i][:n-1]
-			end[i] = base[i]
-			if n > 1 {
-				end[i] = frames[i][n-2].seq
-			}
-			metricWALTornTails.Inc()
-			logger.Warn("wal: dropped unacknowledged barrier tail",
-				"stripe", i, "segment", tail.path, "seq", tail.seq)
-			dropped = true
-		}
-	}
-	for i := range frames {
-		for _, f := range frames[i] {
-			if f.rec.StripeSeqs != nil && FramePosition(end, f.rec.StripeSeqs) != FrameDup {
-				return nil, fmt.Errorf("store: barrier record %d in %s has acknowledged successors but is missing from other stripes", f.seq, f.path)
-			}
-		}
-	}
-
-	// Phase 3 — replay the stripes in parallel, in rounds split at
-	// barriers: every stripe applies its records up to the next barrier
-	// concurrently, the barrier is applied exactly once, and the round
-	// repeats. Per-entity order is per-stripe order (routing pins an
-	// entity to one stripe), so concurrent application cannot reorder
-	// any state the apply depends on.
-	cursors := make([]int, nstripes)
-	var replayed atomic.Int64
-	for {
-		applyErrs := make([]error, nstripes)
-		var rwg sync.WaitGroup
-		for i := 0; i < nstripes; i++ {
-			if cursors[i] >= len(frames[i]) {
-				continue
-			}
-			rwg.Add(1)
-			go func(i int) {
-				defer rwg.Done()
-				for cursors[i] < len(frames[i]) {
-					f := frames[i][cursors[i]]
-					if f.rec.StripeSeqs != nil {
-						return // rendezvous at the barrier
-					}
-					if err := s.state.apply(f.rec); err != nil {
-						applyErrs[i] = fmt.Errorf("store: replaying WAL record %d (stripe %d): %w", f.seq, i, err)
-						return
-					}
-					replayed.Add(1)
-					cursors[i]++
-				}
-			}(i)
-		}
-		rwg.Wait()
-		for _, err := range applyErrs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		var bar *Record
-		for i := range frames {
-			if cursors[i] < len(frames[i]) {
-				f := frames[i][cursors[i]]
-				if bar == nil {
-					bar = f.rec
-				} else if !slices.Equal(bar.StripeSeqs, f.rec.StripeSeqs) {
-					return nil, fmt.Errorf("store: stripes disagree on the next barrier (%v vs %v)", bar.StripeSeqs, f.rec.StripeSeqs)
-				}
-			}
-		}
-		if bar == nil {
-			break
-		}
-		// Every stripe holds a copy of a complete barrier; a stripe whose
-		// cursor is exhausted here lost a frame it acknowledged.
-		for i := range frames {
-			if cursors[i] >= len(frames[i]) {
-				return nil, fmt.Errorf("store: stripe %d is missing its copy of barrier %v", i, bar.StripeSeqs)
-			}
-		}
-		if err := s.state.apply(bar); err != nil {
-			return nil, fmt.Errorf("store: replaying barrier record %v: %w", bar.StripeSeqs, err)
-		}
-		replayed.Add(1)
-		for i := range cursors {
-			cursors[i]++
-		}
-	}
-
+	var replayed uint64
 	for i, ln := range s.lanes {
+		replayed += end[i] - base[i]
 		ln.met = newLaneMetrics(i)
 		l, err := newWalLog(opts.Dir, i, maxGens[i]+1, opts.OpenFile, opts.NoSync, ln.met)
 		if err != nil {
@@ -478,10 +354,10 @@ func Open(opts Options) (*Store, error) {
 		ln.met.segmentBytes.Set(int64(len(segMagic)))
 	}
 	s.setBase(base)
-	metricWALReplayed.Add(uint64(replayed.Load()))
-	if replayed.Load() > 0 || len(segs) > 0 {
+	metricWALReplayed.Add(replayed)
+	if replayed > 0 || len(segs) > 0 {
 		logger.Info("wal: recovered", "dir", opts.Dir, "seq", s.Seq(),
-			"stripes", nstripes, "replayed", replayed.Load(), "segments", len(segs))
+			"stripes", nstripes, "replayed", replayed, "segments", len(segs))
 	}
 	return s, nil
 }
@@ -549,61 +425,66 @@ func repairTorn(seg segmentInfo, validLen int64, final bool, logger *slog.Logger
 	return nil
 }
 
-// scanLane reads one stripe's segments into memory: every intact frame
-// past base, contiguity enforced, torn tails repaired per the
-// single-stream rules. foldLimit catches frames stranded by a
-// stripe-geometry change (see Open).
-func scanLane(laneIdx, nstripes int, segs []segmentInfo, base, foldLimit uint64, logger *slog.Logger) ([]scannedFrame, int, error) {
-	var frames []scannedFrame
-	maxGen := 0
-	next := base
+// replayLane recovers one stripe: it applies every intact frame past
+// base in log order, enforcing contiguity and repairing torn tails per
+// the single-stream rules, and returns the stripe's last sequence and
+// its newest segment generation. foldLimit catches frames stranded by
+// a stripe-geometry change (see Open).
+func (s *Store) replayLane(laneIdx int, segs []segmentInfo, base, foldLimit uint64) (uint64, int, error) {
+	last, maxGen := base, 0
 	for i, seg := range segs {
-		if seg.gen > maxGen {
-			maxGen = seg.gen
-		}
-		off := int64(len(segMagic))
+		maxGen = max(maxGen, seg.gen)
 		validLen, torn, err := replaySegment(seg.path, func(seq uint64, payload []byte) error {
-			frameOff := off
-			off += frameHeaderLen + int64(len(payload))
 			if seq <= base {
 				if seq > foldLimit {
 					return fmt.Errorf("store: stripe %d record %d in %s predates the adopted stripe geometry; compact at the previous width before changing the stripe count", laneIdx, seq, seg.path)
 				}
 				return nil // already folded into the snapshot
 			}
-			if seq != next+1 {
-				return fmt.Errorf("store: WAL gap in %s: record %d follows %d", seg.path, seq, next)
+			if seq != last+1 {
+				return fmt.Errorf("store: WAL gap in %s: record %d follows %d", seg.path, seq, last)
 			}
-			rec := new(Record)
-			if err := json.Unmarshal(payload, rec); err != nil {
+			var frame struct {
+				Record
+				// StripeSeqs marks a cross-stripe barrier record, copied
+				// into every stripe by builds before each record lived in
+				// one lane. Applying each copy would apply it once per
+				// stripe, so recovery refuses it.
+				StripeSeqs []uint64 `json:"stripe_seqs"`
+			}
+			if err := json.Unmarshal(payload, &frame); err != nil {
 				return fmt.Errorf("store: decoding WAL record %d in %s: %w", seq, seg.path, err)
 			}
-			if rec.StripeSeqs != nil && len(rec.StripeSeqs) != nstripes {
-				return fmt.Errorf("store: barrier record %d in %s spans %d stripes, store has %d", seq, seg.path, len(rec.StripeSeqs), nstripes)
+			if frame.StripeSeqs != nil {
+				return fmt.Errorf("store: WAL record %d in %s is a cross-stripe barrier record from an earlier build, which this build cannot replay; open the directory with that build and compact it first", seq, seg.path)
 			}
+			rec := &frame.Record
 			rec.Seq = seq
-			frames = append(frames, scannedFrame{seq: seq, rec: rec, path: seg.path, off: frameOff})
-			next = seq
+			if err := s.state.apply(rec); err != nil {
+				return fmt.Errorf("store: replaying WAL record %d (stripe %d): %w", seq, laneIdx, err)
+			}
+			last = seq
 			return nil
 		})
 		if err != nil {
-			return nil, 0, err
+			return 0, 0, err
 		}
 		if torn {
-			if err := repairTorn(seg, validLen, i == len(segs)-1, logger); err != nil {
-				return nil, 0, err
+			if err := repairTorn(seg, validLen, i == len(segs)-1, s.logger); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
-	return frames, maxGen, nil
+	return last, maxGen, nil
 }
 
-// route maps a record to its commit stripe. Uploads and reviews route
-// by entity key — the same key the read stores stripe on, so one
-// entity's mutation order is total within its stripe. Training pairs
-// share a single fixed stripe: the retrain's floating-point
-// accumulation is sensitive to pair order, and one stripe preserves it
-// exactly across live commits and parallel replay.
+// route maps a record to its commit stripe. Uploads, sweeps and
+// reviews route by entity key — the same key the read stores stripe
+// on, so one entity's mutation order is total within its stripe.
+// Training pairs and retrains share stripe 0: a retrain reads only the
+// pairs, and its floating-point accumulation is sensitive to their
+// order, so one stripe fixes exactly which pairs, in which order, each
+// retrain sees, across live commits and parallel replay.
 func (s *Store) route(rec *Record) int {
 	n := len(s.lanes)
 	switch rec.Kind {
@@ -612,25 +493,20 @@ func (s *Store) route(rec *Record) int {
 			return stripe.IndexN(rec.Review.Entity, n)
 		}
 		return 0
-	case KindTrainPair:
+	case KindTrainPair, KindRetrain:
 		return 0
 	default:
 		return stripe.IndexN(rec.Entity, n)
 	}
 }
 
-// barrierKind reports whether the kind mutates state that spans every
-// stripe and therefore commits as a barrier record.
-func barrierKind(k Kind) bool { return k == KindRetrain || k == KindSweep }
-
-// Commit applies one record and makes it durable. Single-stripe
-// records are marshaled outside any lock and committed on their
-// stripe's lane (see commitLane) — commits on other stripes proceed in
-// parallel throughout. Retrain and sweep records commit as barriers
-// (see commitBarrier). An apply error leaves the log untouched; a log
-// error marks the store failed — memory may then be ahead of disk, so
-// every later Commit refuses with ErrUnavailable until a restart
-// re-derives state from disk.
+// Commit applies one record and makes it durable. The record is
+// marshaled outside any lock and committed on its stripe's lane (see
+// commitLane) — commits on other stripes proceed in parallel
+// throughout. An apply error leaves the log untouched; a log error
+// marks the store failed — memory may then be ahead of disk, so every
+// later Commit refuses with ErrUnavailable until a restart re-derives
+// state from disk.
 func (s *Store) Commit(rec *Record) error {
 	if s.failed.Load() {
 		metricStoreUnavailable.Inc()
@@ -641,9 +517,6 @@ func (s *Store) Commit(rec *Record) error {
 	// parallel replay cannot re-derive a global assignment order.
 	if rec.Kind == KindReview && rec.Review != nil && rec.Review.ID == "" {
 		rec.Review.ID = s.state.reviews.NextID()
-	}
-	if barrierKind(rec.Kind) {
-		return s.commitBarrier(rec, nil, nil)
 	}
 	idx := s.route(rec)
 	var payload []byte
@@ -657,7 +530,7 @@ func (s *Store) Commit(rec *Record) error {
 	return s.commitLane(idx, 0, rec, payload)
 }
 
-// commitLane commits one single-stripe record on lane idx: under the
+// commitLane commits one record on lane idx: under the
 // lane lock, apply it to memory, append it to the stripe's log and
 // publish it; then wait outside the lock for the group fsync that
 // covers it, kick compaction, and run the replication barrier. at is
@@ -732,98 +605,6 @@ func (s *Store) commitLane(idx int, at uint64, rec *Record, payload []byte) erro
 	return s.AckBarrier(idx, rec.Seq)
 }
 
-// commitBarrier commits one cross-stripe record: acquire every lane in
-// ascending order, stamp the record with the next sequence of each
-// stripe, apply once, append an identical copy to every stripe's log,
-// and — still holding every lane — flush and fsync them all. Holding
-// the lanes across the fsync wave is what makes recovery's barrier
-// resolution trivial: no commit on any stripe can be acknowledged
-// after a barrier that is not itself durable everywhere, so an
-// incomplete barrier is always a tail. Barriers are rare
-// administrative mutations (retrains, fraud sweeps); stalling the
-// pipeline for one fsync wave is the price of a global ordering point.
-//
-// at is the vector a leader assigned the barrier (CommitReplicated),
-// with payload its wire form; FramePosition judges it against the
-// local vector, so a barrier already held is a silent no-op and one
-// held in only some stripes, or past a gap, is ErrReplicationGap. A
-// nil at stamps the next vector and marshals under the locks.
-func (s *Store) commitBarrier(rec *Record, at []uint64, payload []byte) error {
-	s.lockAll()
-	if s.closed.Load() {
-		s.unlockAll()
-		metricStoreUnavailable.Inc()
-		return ErrUnavailable
-	}
-	seqs := s.SeqVector()
-	if at != nil {
-		if pos := FramePosition(seqs, at); pos != FrameNext {
-			s.unlockAll()
-			if pos == FrameGap {
-				return fmt.Errorf("%w (barrier %v, have %v)", ErrReplicationGap, at, seqs)
-			}
-			return nil
-		}
-	}
-	for i := range seqs {
-		seqs[i]++
-	}
-	rec.StripeSeqs = seqs
-	rec.Seq = seqs[0]
-	if err := s.state.apply(rec); err != nil {
-		rec.StripeSeqs = nil
-		s.unlockAll()
-		return err
-	}
-	for i, ln := range s.lanes {
-		ln.seq.Store(seqs[i])
-	}
-	s.notifyCommit(rec)
-	hasLog := s.lanes[0].log != nil
-	if payload == nil && (hasLog || s.nsubs.Load() > 0) {
-		var err error
-		payload, err = json.Marshal(rec)
-		if err != nil {
-			s.unlockAll()
-			s.fail("marshal", err)
-			return fmt.Errorf("%w (encoding barrier record: %v)", ErrUnavailable, err)
-		}
-	}
-	if hasLog {
-		for _, ln := range s.lanes {
-			_, size, err := ln.log.append(seqs[ln.idx], payload)
-			if err != nil {
-				s.unlockAll()
-				s.fail("append", err)
-				return fmt.Errorf("%w (appending barrier record: %v)", ErrUnavailable, err)
-			}
-			ln.met.appends.Inc()
-			ln.met.appendBytes.Add(uint64(frameHeaderLen + len(payload)))
-			ln.met.segmentBytes.Set(size)
-		}
-		for _, ln := range s.lanes {
-			if err := ln.log.flush(); err != nil {
-				s.unlockAll()
-				s.fail("fsync", err)
-				return fmt.Errorf("%w (syncing barrier record: %v)", ErrUnavailable, err)
-			}
-		}
-	}
-	if payload != nil {
-		s.publish(Frame{Stripe: BarrierStripe, Seqs: seqs, Payload: payload})
-	}
-	s.unlockAll()
-	metricStoreCommits.With(string(rec.Kind)).Inc()
-	metricBarrierCommits.Inc()
-	if at != nil {
-		metricStoreReplicated.Inc()
-	}
-	if hasLog {
-		s.compactDue()
-	}
-	return s.AckBarrierVec(seqs)
-}
-
 // compactDue counts one logged record toward auto-compaction and kicks
 // a background compaction once CompactEvery records have accumulated.
 func (s *Store) compactDue() {
@@ -843,9 +624,8 @@ func (s *Store) fail(op string, err error) {
 func (s *Store) Failed() bool { return s.failed.Load() }
 
 // Seq returns the total number of sequence slots consumed across all
-// commit stripes — the sum of the per-stripe sequences. Each
-// single-stripe record consumes one slot; a barrier record consumes
-// one in every stripe. Per-stripe components are monotone, so the sum
+// commit stripes — the sum of the per-stripe sequences; each record
+// consumes one slot. Per-stripe components are monotone, so the sum
 // is monotone, and two stores that have applied the same commits
 // report the same total — which is what replication lag and failover
 // checks compare.
@@ -859,7 +639,7 @@ func (s *Store) Seq() uint64 {
 
 // SeqVector returns the per-stripe sequence vector. Each lane's value
 // is read atomically; for a cut consistent across stripes, hold every
-// lane (as barrier commits, snapshots and subscriptions do) or quiesce
+// lane (as snapshots and subscriptions do) or quiesce
 // commits first (followers are quiescent by construction).
 func (s *Store) SeqVector() []uint64 {
 	out := make([]uint64, len(s.lanes))
@@ -900,9 +680,9 @@ func (s *Store) TrainingPairs() int {
 
 // Snapshot captures the full state plus the per-stripe sequence vector
 // it reflects. It holds every lane during the in-memory copy so the
-// cut is consistent with WALSeqs — a barrier's effects are in the
-// snapshot if and only if the vector covers it in every stripe;
-// callers encode it (storage.Write/SaveFile) outside any lock.
+// cut is consistent with WALSeqs — a record's effects are in the
+// snapshot if and only if the vector covers its sequence; callers
+// encode it (storage.Write/SaveFile) outside any lock.
 func (s *Store) Snapshot() *storage.Snapshot {
 	s.lockAll()
 	snap := s.state.dump(s.clock.Now())
@@ -911,8 +691,11 @@ func (s *Store) Snapshot() *storage.Snapshot {
 	return snap
 }
 
-// Restore replaces the state with the snapshot's contents. The
-// sequence spaces are never rewound: each lane adopts the larger of
+// Restore replaces the state with the snapshot's contents. snap
+// belongs to the store afterwards — its histories are adopted, not
+// copied — so the caller hands over a freshly decoded or freshly taken
+// snapshot and does not use it again. The sequence spaces are never
+// rewound: each lane adopts the larger of
 // the snapshot's sequence and its own, and snap's WALSeqs is updated
 // to match before it is persisted, so records still on disk from
 // before the restore can never alias post-restore commits — a crash

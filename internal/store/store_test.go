@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,7 +122,7 @@ func TestRecoveryReplaysLog(t *testing.T) {
 	if s.Models() == nil {
 		t.Fatal("no model after retrain")
 	}
-	if err := s.Commit(&Record{Kind: KindSweep, Dropped: []string{"anon-0"}}); err != nil {
+	if err := s.Commit(&Record{Kind: KindSweep, Entity: "ent/0", Dropped: []string{"anon-0"}}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	wantSeq := s.Seq()
@@ -668,70 +669,89 @@ func TestUnknownKindRefused(t *testing.T) {
 	}
 }
 
-// lastFrameOffset walks a segment and returns the byte offset of its
-// final frame, so tests can truncate exactly that frame away.
-func lastFrameOffset(t *testing.T, path string) int64 {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := int64(len(segMagic))
-	last := int64(-1)
-	for off < int64(len(data)) {
-		n := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		last = off
-		off += frameHeaderLen + n
-	}
-	if last < 0 {
-		t.Fatalf("segment %s holds no frames", path)
-	}
-	return last
+// gatedSyncFile is a segment whose Sync, once armed, blocks until
+// release is closed.
+type gatedSyncFile struct {
+	*os.File
+	armed   *atomic.Bool
+	release chan struct{}
 }
 
-// TestIncompleteTailBarrierDropped: a crash lands a barrier record in
-// some stripes' logs but not all. The barrier was never acknowledged
-// (its fsyncs happen under the commit locks, before the ack), so
-// recovery must drop it from every stripe rather than half-apply it.
-func TestIncompleteTailBarrierDropped(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 2, CompactEvery: -1})
-	commitN(t, s, 6) // spread uploads across both stripes
-	before := s.SeqVector()
-	if err := s.Commit(&Record{Kind: KindSweep, Dropped: []string{"anon-1"}}); err != nil {
-		t.Fatalf("sweep: %v", err)
+func (f gatedSyncFile) Sync() error {
+	if f.armed.Load() {
+		<-f.release
 	}
-	s.Close()
+	return f.File.Sync()
+}
 
-	// Simulate the torn write: stripe 1's copy of the barrier never hit
-	// the disk.
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s1 string
-	for _, seg := range segs {
-		if seg.stripe == 1 {
-			s1 = seg.path
+// TestRetrainDoesNotWaitOnOtherLanes: a retrain commits on the training
+// pairs' stripe alone, so an fsync stalled on another stripe cannot
+// hold it up.
+func TestRetrainDoesNotWaitOnOtherLanes(t *testing.T) {
+	dir := t.TempDir()
+	var armed atomic.Bool
+	release := make(chan struct{})
+	stalled := segmentPath(dir, 1, 1)
+	s := mustOpen(t, Options{Dir: dir, Stripes: 2, CompactEvery: -1, OpenFile: func(path string) (File, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err != nil || path != stalled {
+			return f, err
+		}
+		return gatedSyncFile{File: f, armed: &armed, release: release}, nil
+	}})
+	defer s.Close()
+	defer close(release)
+	for i := 0; i < 4; i++ {
+		pair := &Record{Kind: KindTrainPair,
+			Features: []float64{float64(i), float64(i % 2)}, TrainRating: 3 + float64(i)/4, Category: "restaurant"}
+		if err := s.Commit(pair); err != nil {
+			t.Fatalf("train pair: %v", err)
 		}
 	}
-	if err := os.Truncate(s1, lastFrameOffset(t, s1)); err != nil {
-		t.Fatal(err)
+	// Armed only now: Open fsyncs every segment's header.
+	armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- s.Commit(&Record{Kind: KindRetrain}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("retrain: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("retrain waited on stripe 1's stalled fsync")
 	}
+	if s.Models() == nil {
+		t.Fatal("no model after retrain")
+	}
+}
 
-	r := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 2, CompactEvery: -1})
-	defer r.Close()
-	if got := r.SeqVector(); !equalSeqs(got, before) {
-		t.Fatalf("recovered vector = %v, want pre-barrier %v", got, before)
+// TestSweepRecordNeedsEntity: a sweep record that drops histories must
+// name the entity they are on — a record without one is refused before
+// anything is applied or logged, while an empty sweep still commits.
+func TestSweepRecordNeedsEntity(t *testing.T) {
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, Stripes: 4, CompactEvery: -1})
+	defer s.Close()
+	commitN(t, s, 3)
+	if err := s.Commit(&Record{Kind: KindSweep, Dropped: []string{"anon-0"}}); err == nil {
+		t.Fatal("sweep without an entity committed")
 	}
-	if got := r.Histories().Stats().Records; got != 6 {
-		t.Fatalf("recovered records = %d, want all 6 (sweep must not half-apply)", got)
+	if got := s.Seq(); got != 3 {
+		t.Fatalf("refused sweep advanced seq to %d", got)
 	}
-	// The store keeps accepting commits on the rewound sequences.
-	if err := r.Commit(&Record{Kind: KindSweep, Dropped: []string{"anon-1"}}); err != nil {
-		t.Fatalf("post-recovery sweep: %v", err)
+	if got := s.Histories().Stats().Histories; got != 3 {
+		t.Fatalf("refused sweep left %d histories, want 3", got)
 	}
-	if got := r.Histories().Stats().Records; got != 5 {
-		t.Fatalf("records after re-sweep = %d, want 5", got)
+	if err := s.Commit(&Record{Kind: KindSweep}); err != nil {
+		t.Fatalf("empty sweep: %v", err)
+	}
+	// IDs bound to another entity are skipped, the rest dropped.
+	if err := s.Commit(&Record{Kind: KindSweep, Entity: "ent/0", Dropped: []string{"anon-0", "anon-1"}}); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if got := s.Histories().ByEntity("ent/0"); len(got) != 0 {
+		t.Fatalf("ent/0 keeps %d histories after its sweep", len(got))
+	}
+	if got := s.Histories().ByEntity("ent/1"); len(got) != 1 {
+		t.Fatalf("ent/1 holds %d histories, want 1: a sweep of ent/0 dropped it", len(got))
 	}
 }

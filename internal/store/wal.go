@@ -321,9 +321,8 @@ func (l *walLog) flushCycle() {
 }
 
 // flush forces everything buffered onto disk — flush, fsync, release
-// any pending batch — without rotating. ExportFrames and barrier
-// commits call it so a reader (or an acknowledgement) sees every record
-// appended before the call.
+// any pending batch — without rotating. ExportFrames calls it so a
+// reader sees every record appended before the call.
 func (l *walLog) flush() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()

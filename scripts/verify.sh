@@ -45,6 +45,15 @@ go test -run '^$' -bench=Commit -benchtime=1x ./internal/store/...
 echo "==> read-path benchmark smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/search ./internal/history ./internal/aggregate
 
+# The decoders recovery and replication rest on are fuzzed beyond their
+# seeds on every run: the WAL frame scan (recovery replays and
+# ExportFrames streams through it) and the snapshot reader. Minimizing
+# each new-coverage input is capped at 1 s: at the 60 s default, one
+# such input ate most of FuzzRead's 15 s (12 k execs instead of 79 k).
+echo "==> fuzz WAL segment scan and snapshot reader (15 s each)"
+go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 15s -fuzzminimizetime 1s ./internal/store
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 15s -fuzzminimizetime 1s ./internal/storage
+
 echo "==> streaming smoke (100k-user world: shards -> rspd -> agent cohort, heap-gated)"
 sh scripts/streaming_smoke.sh
 
