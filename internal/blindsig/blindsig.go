@@ -15,6 +15,7 @@
 package blindsig
 
 import (
+	"crypto/hmac"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -128,6 +129,15 @@ func NewIssuer(bits, ratePerPeriod int, period time.Duration, clock simclock.Clo
 
 // PublicKey returns the issuer's verification key.
 func (is *Issuer) PublicKey() *rsa.PublicKey { return &is.key.PublicKey }
+
+// Secret derives a 32-byte secret for label from the issuer's private
+// key: HMAC-SHA256 keyed by the private exponent. Issuers holding one
+// key derive one secret, and nothing public predicts it.
+func (is *Issuer) Secret(label string) []byte {
+	mac := hmac.New(sha256.New, is.key.D.Bytes())
+	mac.Write([]byte(label))
+	return mac.Sum(nil)
+}
 
 // Sign signs a blinded value for deviceID, enforcing the rate limit.
 // The issuer authenticates the *device* here (this is the one

@@ -1,6 +1,7 @@
 package blindsig
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -167,5 +168,18 @@ func TestTokensAreUnlinkable(t *testing.T) {
 	}
 	if err := rd.Redeem(t2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// One key, one secret per label; another key or label, another secret.
+func TestSecretFollowsKeyAndLabel(t *testing.T) {
+	is := testIssuer(t, 1, time.Hour, simclock.NewSim(simclock.Epoch))
+	other := testIssuer(t, 1, time.Hour, simclock.NewSim(simclock.Epoch))
+	s := is.Secret("a")
+	if !bytes.Equal(is.Secret("a"), s) || len(s) != 32 {
+		t.Fatal("one key and label derived two secrets")
+	}
+	if bytes.Equal(is.Secret("b"), s) || bytes.Equal(other.Secret("a"), s) {
+		t.Fatal("a different label or key derived the same secret")
 	}
 }

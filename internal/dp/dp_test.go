@@ -3,8 +3,6 @@ package dp
 import (
 	"math"
 	"testing"
-
-	"opinions/internal/stats"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -15,21 +13,13 @@ func TestNewValidation(t *testing.T) {
 					t.Errorf("epsilon %v accepted", eps)
 				}
 			}()
-			New(eps, stats.NewRNG(1))
+			New(eps, [32]byte{1})
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil rng accepted")
-			}
-		}()
-		New(1, nil)
-	}()
 }
 
 func TestLaplaceNoiseScale(t *testing.T) {
-	m := New(1, stats.NewRNG(2))
+	m := New(1, [32]byte{2})
 	// Laplace(0, 1/ε) with ε=1 has stddev √2·b = √2.
 	const n = 50000
 	var sum, ss float64
@@ -49,7 +39,7 @@ func TestLaplaceNoiseScale(t *testing.T) {
 }
 
 func TestCountNonNegativeAndUnbiasedish(t *testing.T) {
-	m := New(1, stats.NewRNG(3))
+	m := New(1, [32]byte{3})
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -65,7 +55,7 @@ func TestCountNonNegativeAndUnbiasedish(t *testing.T) {
 }
 
 func TestHistogramPreservesShapeAtScale(t *testing.T) {
-	m := New(1, stats.NewRNG(4))
+	m := New(1, [32]byte{4})
 	truth := map[int]int{1: 400, 2: 200, 3: 50, 4: 10}
 	rel := m.Histogram(truth)
 	if len(rel) != len(truth) {
@@ -85,7 +75,7 @@ func TestHistogramPreservesShapeAtScale(t *testing.T) {
 func TestSmallCountsGetRealNoise(t *testing.T) {
 	// The privacy case that motivates the package: a dentist with 3
 	// patients. Released values must actually vary.
-	m := New(1, stats.NewRNG(5))
+	m := New(1, [32]byte{5})
 	distinct := map[float64]bool{}
 	for i := 0; i < 100; i++ {
 		distinct[m.Count(3)] = true
@@ -96,7 +86,7 @@ func TestSmallCountsGetRealNoise(t *testing.T) {
 }
 
 func TestFixedHistogram(t *testing.T) {
-	m := New(2, stats.NewRNG(6))
+	m := New(2, [32]byte{6})
 	var truth [11]int
 	truth[8] = 100
 	rel := m.FixedHistogram(truth)
@@ -111,7 +101,7 @@ func TestFixedHistogram(t *testing.T) {
 }
 
 func TestMeanBoundedAndSuppressed(t *testing.T) {
-	m := New(1, stats.NewRNG(7))
+	m := New(1, [32]byte{7})
 	// Large population: close to truth.
 	var hits int
 	for i := 0; i < 200; i++ {
@@ -146,8 +136,8 @@ func TestMeanBoundedAndSuppressed(t *testing.T) {
 }
 
 func TestSmallerEpsilonMoreNoise(t *testing.T) {
-	noisy := New(0.1, stats.NewRNG(8))
-	tight := New(5, stats.NewRNG(8))
+	noisy := New(0.1, [32]byte{8})
+	tight := New(5, [32]byte{8})
 	var devNoisy, devTight float64
 	for i := 0; i < 5000; i++ {
 		devNoisy += math.Abs(noisy.Count(100) - 100)
@@ -155,5 +145,26 @@ func TestSmallerEpsilonMoreNoise(t *testing.T) {
 	}
 	if devNoisy <= devTight*5 {
 		t.Fatalf("ε=0.1 deviation %v not ≫ ε=5 deviation %v", devNoisy, devTight)
+	}
+}
+
+// One seed gives one release: bins are drawn in key order, so Go's
+// random map iteration order cannot reshuffle which bin gets which draw.
+func TestSameSeedSameRelease(t *testing.T) {
+	truth := map[int]int{}
+	for k := 1; k <= 20; k++ {
+		truth[k] = 10 * k
+	}
+	want := New(1, [32]byte{9}).Histogram(truth)
+	for i := 0; i < 50; i++ {
+		got := New(1, [32]byte{9}).Histogram(truth)
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("release %d: bin %d = %v, want %v", i, k, got[k], v)
+			}
+		}
+	}
+	if other := New(1, [32]byte{10}).Histogram(truth); other[1] == want[1] {
+		t.Fatalf("seeds 9 and 10 drew the same noise for bin 1: %v", other[1])
 	}
 }

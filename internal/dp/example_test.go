@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"opinions/internal/dp"
-	"opinions/internal/stats"
 )
 
 // Release a visits-per-user histogram with ε-differential privacy. At
 // scale the shape survives; tiny populations get real noise.
 func Example() {
-	mech := dp.New(1.0, stats.NewRNG(1))
+	mech := dp.New(1.0, [32]byte{1})
 	histogram := map[int]int{1: 300, 2: 120, 3: 40}
 	released := mech.Histogram(histogram)
 	fmt.Println(released[1] > released[2] && released[2] > released[3])

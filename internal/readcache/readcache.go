@@ -1,6 +1,6 @@
 // Package readcache is the serving path's response cache: hot read
-// responses — a per-entity describe/aggregate, a per-service directory
-// listing — are held as pre-encoded JSON bytes and served without
+// responses — the server caches each entity's describe/aggregate
+// body — are held as pre-encoded JSON bytes and served without
 // recomputing aggregates or re-running the encoder. Entries are
 // invalidated precisely by the commit pipeline: the server registers a
 // store commit hook that maps each applied record to the entity it

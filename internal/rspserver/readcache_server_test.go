@@ -72,51 +72,28 @@ func TestEntity404NotCached(t *testing.T) {
 	}
 }
 
-// The directory response is cached per known service kind; arbitrary
-// ?service= strings must not mint cache keys.
+// Each known service kind's directory body is encoded once and served
+// as the same bytes, outside the read cache; arbitrary ?service=
+// strings answer [] and keep nothing.
 func TestDirectoryCacheKnownKindsOnly(t *testing.T) {
 	srv, ts := testServer(t)
 	cache := srv.ReadCache()
-	getJSON(t, ts.URL+"/api/directory?service=yelp", nil)
-	h0, _, _ := cache.Stats()
-	getJSON(t, ts.URL+"/api/directory?service=yelp", nil)
-	h1, _, _ := cache.Stats()
-	if h1 != h0+1 {
-		t.Fatalf("repeat directory read not a hit: %d -> %d", h0, h1)
+	h0, m0, _ := cache.Stats()
+	_, first := getBody(t, ts.URL+"/api/directory?service=yelp")
+	if _, again := getBody(t, ts.URL+"/api/directory?service=yelp"); !bytes.Equal(again, first) {
+		t.Fatalf("repeat directory read differs:\n%s\n%s", first, again)
 	}
-	before := cache.Len()
+	if h1, m1, _ := cache.Stats(); h1 != h0 || m1 != m0 || cache.Len() != 0 {
+		t.Fatalf("directory reads went through the read cache: hits %d -> %d, misses %d -> %d, %d entries", h0, h1, m0, m1, cache.Len())
+	}
+	kinds := len(srv.dirs)
 	for i := 0; i < 5; i++ {
-		getJSON(t, ts.URL+fmt.Sprintf("/api/directory?service=bogus-%d", i), nil)
+		if _, body := getBody(t, ts.URL+fmt.Sprintf("/api/directory?service=bogus-%d", i)); string(body) != "[]\n" {
+			t.Fatalf("unknown service kind answered %q", body)
+		}
 	}
-	if cache.Len() != before {
-		t.Fatalf("unknown service kinds grew the cache: %d -> %d", before, cache.Len())
-	}
-}
-
-// Differential privacy draws fresh noise per release; caching an
-// entity response would freeze one noise sample. The entity namespace
-// must bypass the cache under -privacy-epsilon.
-func TestDPBypassesEntityCache(t *testing.T) {
-	catalog := []*world.Entity{{ID: "a", Service: world.Yelp, Zip: "48104", Category: "chinese", Name: "Golden Wok", Quality: 4}}
-	srv, err := New(Config{Catalog: catalog, Clock: simclock.NewSim(simclock.Epoch), KeyBits: 1024, PrivacyEpsilon: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cache := srv.ReadCache()
-	getJSON(t, ts.URL+"/api/entity?key=yelp/a", nil)
-	getJSON(t, ts.URL+"/api/entity?key=yelp/a", nil)
-	hits, _, _ := cache.Stats()
-	if hits != 0 {
-		t.Fatalf("entity reads hit the cache under DP: %d hits", hits)
-	}
-	// The directory carries no inference aggregates; it may still cache.
-	getJSON(t, ts.URL+"/api/directory", nil)
-	getJSON(t, ts.URL+"/api/directory", nil)
-	hits, _, _ = cache.Stats()
-	if hits == 0 {
-		t.Fatal("directory reads bypass the cache under DP")
+	if len(srv.dirs) != kinds {
+		t.Fatalf("unknown service kinds grew the directory bodies: %d -> %d", kinds, len(srv.dirs))
 	}
 }
 
@@ -254,7 +231,6 @@ func TestRestoreSnapshotFlushesCache(t *testing.T) {
 func TestStoreRestoreFlushesCache(t *testing.T) {
 	srv, ts := testServer(t)
 	getJSON(t, ts.URL+"/api/entity?key=yelp/a", nil)
-	getJSON(t, ts.URL+"/api/directory?service=yelp", nil)
 	if srv.ReadCache().Len() == 0 {
 		t.Fatal("nothing cached before restore")
 	}

@@ -11,14 +11,16 @@ package rspserver
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/binary"
+	"cmp"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,7 +38,6 @@ import (
 	"opinions/internal/reviews"
 	"opinions/internal/search"
 	"opinions/internal/simclock"
-	"opinions/internal/stats"
 	"opinions/internal/store"
 	"opinions/internal/world"
 )
@@ -56,7 +57,8 @@ type Config struct {
 	// Issuer, when non-nil, is used instead of generating a fresh token
 	// key (KeyBits, TokenRate, and TokenPeriod are then ignored). A
 	// replicated leader/follower pair is handed the same issuer so
-	// tokens clients fetched before a failover stay redeemable after it.
+	// tokens clients fetched before a failover stay redeemable after it
+	// and both release the same privacy noise (PrivacyEpsilon).
 	Issuer *blindsig.Issuer
 	// Zips lists the query locations exposed in /api/meta; optional.
 	Zips []string
@@ -69,11 +71,9 @@ type Config struct {
 	// through an ε-differentially-private Laplace mechanism — closing
 	// the small-count leakage the paper's cited de-anonymization work
 	// [24, 25] warns about. Explicit reviews are public posts and are
-	// released exactly.
+	// released exactly. The noise is keyed by the issuer's private key
+	// and the released aggregate, so one state gets one sample.
 	PrivacyEpsilon float64
-	// PrivacySeed makes the noise deterministic for tests; 0 seeds from
-	// crypto/rand, so no public value predicts the noise stream.
-	PrivacySeed int64
 	// Store, when non-nil, is the durable state layer every mutation
 	// commits through — typically store.Open with a WAL directory, after
 	// recovery. Nil builds a memory-only store: same commit interface,
@@ -99,15 +99,24 @@ type Server struct {
 	attestor *attest.Verifier
 	st       *store.Store
 
-	// cache holds pre-encoded entity/directory responses, invalidated
-	// by the store's commit hook. dirKinds is the closed set of
-	// cacheable directory filters — attacker-chosen service strings
-	// must not mint unbounded cache keys.
-	cache    *readcache.Cache
-	dirKinds map[string]bool
+	// cache holds pre-encoded entity responses, invalidated by the
+	// store's commit hook.
+	cache *readcache.Cache
+	// dirs holds the directory listing of each catalog service kind and
+	// of "" (all kinds). The catalog never changes, so each body is
+	// encoded once, on its first request.
+	dirs map[string]*dirBody
 
-	dpMu   sync.Mutex
-	dpMech *dp.Mechanism
+	// dpEpsilon, when positive, noises every release, keyed by dpSecret.
+	dpEpsilon float64
+	dpSecret  []byte
+}
+
+// dirBody is one directory listing, encoded on first request.
+type dirBody struct {
+	once sync.Once
+	body []byte
+	err  error
 }
 
 // New builds a server over the catalog.
@@ -148,23 +157,15 @@ func New(cfg Config) (*Server, error) {
 		clock:    cfg.Clock,
 		attestor: cfg.Attestation,
 		st:       st,
+		meta:     buildMeta(cfg.Catalog, cfg.Zips),
+		cache:    readcache.New(),
+		dirs:     map[string]*dirBody{"": {}},
+
+		dpEpsilon: cfg.PrivacyEpsilon,
+		dpSecret:  issuer.Secret("opinions/rspserver: dp release noise"),
 	}
-	if cfg.PrivacyEpsilon > 0 {
-		seed := cfg.PrivacySeed
-		if seed == 0 {
-			var b [8]byte
-			if _, err := rand.Read(b[:]); err != nil {
-				return nil, fmt.Errorf("rspserver: seeding privacy noise: %w", err)
-			}
-			seed = int64(binary.LittleEndian.Uint64(b[:]))
-		}
-		s.dpMech = dp.New(cfg.PrivacyEpsilon, stats.NewRNG(seed))
-	}
-	s.meta = buildMeta(cfg.Catalog, cfg.Zips)
-	s.cache = readcache.New()
-	s.dirKinds = map[string]bool{"": true}
-	for _, e := range cfg.Catalog {
-		s.dirKinds[string(e.Service)] = true
+	for _, ms := range s.meta.Services {
+		s.dirs[ms.Kind] = &dirBody{}
 	}
 	st.SetCommitHook(s.invalidateOnCommit)
 	// Restores jump timelines, so per-entity invalidation cannot bound
@@ -175,19 +176,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Cache namespaces: one per cached route.
-const (
-	cacheNSEntity    = "entity"
-	cacheNSDirectory = "directory"
-)
+// cacheNSEntity is the read-cache namespace of entity bodies.
+const cacheNSEntity = "entity"
 
 // invalidateOnCommit is the store commit hook: it maps each applied
 // record to the cache entries it can stale. Uploads, sweep records and
 // reviews touch exactly one entity's aggregates, so they invalidate
 // that entity's stripe only. Training pairs and retrains change no
-// served read state: no cached response reads the model. Directory
-// listings derive solely from the immutable catalog and are never
-// invalidated by commits.
+// served read state: no cached response reads the model.
 func (s *Server) invalidateOnCommit(rec *store.Record) {
 	switch rec.Kind {
 	case store.KindUpload, store.KindSweep:
@@ -202,26 +198,30 @@ func (s *Server) invalidateOnCommit(rec *store.Record) {
 // ReadCache exposes the response cache for introspection (tests).
 func (s *Server) ReadCache() *readcache.Cache { return s.cache }
 
-// entityCache returns the cache for the entity-describe route, or nil
-// when it must be bypassed: with differential privacy enabled every
-// release draws fresh noise, and caching would freeze one sample.
-func (s *Server) entityCache() *readcache.Cache {
-	if s.dpMech != nil {
-		return nil
-	}
-	return s.cache
-}
-
 // releaseResult applies the differential-privacy mechanism (when
-// enabled) to every inference-derived field of a result before it leaves
-// the server. Explicit-review fields pass through untouched.
+// enabled) to every inference-derived field of a result before it
+// leaves the server, and recomputes Score from the released fields —
+// the exact score is a function of the exact inferred count and mean.
+// Explicit-review fields pass through untouched.
+//
+// The noise is keyed by HMAC-SHA256 under the deployment secret over
+// the entity, ε, and exactly the fields noised here, in a canonical
+// encoding: fmt prints maps in key order and floats in their shortest
+// round-trip form, and cannot fail. Repeated reads of one state
+// thus return one sample: averaging them gains a reader nothing, and a
+// released body can be cached like any other. Review fields and Score
+// stay out of the key: posting a review needs no token, so if a review
+// drew fresh noise anyone could average it away by posting reviews. ε
+// stays in: releases of one state at two budgets drawn from shared
+// uniforms would let a reader solve for the truth.
 func (s *Server) releaseResult(w WireResult) WireResult {
-	if s.dpMech == nil {
+	if s.dpEpsilon <= 0 {
 		return w
 	}
-	s.dpMu.Lock()
-	defer s.dpMu.Unlock()
-	m := s.dpMech
+	mac := hmac.New(sha256.New, s.dpSecret)
+	fmt.Fprintf(mac, "%q %v", w.Entity.Key, []any{s.dpEpsilon, w.InferredCount, w.InferredMean, w.InferredHistogram,
+		w.VisitsPerUser, w.MeanDistanceKmByVisits, w.RawInteractions, w.EffectiveInteractions, w.RepeatFraction})
+	m := dp.New(s.dpEpsilon, [32]byte(mac.Sum(nil)))
 
 	noisedCount := m.Count(w.InferredCount)
 	w.InferredCount = int(math.Round(noisedCount))
@@ -230,11 +230,7 @@ func (s *Server) releaseResult(w WireResult) WireResult {
 		w.InferredMean = 0
 		w.InferredHistogram = [11]int{}
 	} else {
-		if mean, ok := m.Mean(w.InferredMean*noisedCount, int(noisedCount), 0, 5); ok {
-			w.InferredMean = mean
-		} else {
-			w.InferredMean = 0
-		}
+		w.InferredMean, _ = m.Mean(w.InferredMean*noisedCount, int(noisedCount), 0, 5)
 		fh := m.FixedHistogram(w.InferredHistogram)
 		for i, v := range fh {
 			w.InferredHistogram[i] = int(math.Round(v))
@@ -253,21 +249,18 @@ func (s *Server) releaseResult(w WireResult) WireResult {
 		// Per-bin distance means: suppress bins whose released user
 		// count is tiny, noise the rest.
 		dist := make(map[int]float64, len(w.MeanDistanceKmByVisits))
-		for k, v := range w.MeanDistanceKmByVisits {
+		for _, k := range dp.SortedKeys(w.MeanDistanceKmByVisits) {
 			n := out[k]
-			if mean, ok := m.Mean(v*float64(n), n, 0, 50); ok {
+			if mean, ok := m.Mean(w.MeanDistanceKmByVisits[k]*float64(n), n, 0, 50); ok {
 				dist[k] = mean
 			}
 		}
 		w.MeanDistanceKmByVisits = dist
 		w.RawInteractions = int(math.Round(m.Count(w.RawInteractions)))
 		w.EffectiveInteractions = m.Count(int(math.Round(w.EffectiveInteractions)))
-		if frac, ok := m.Mean(w.RepeatFraction*noisedCount, int(noisedCount), 0, 1); ok {
-			w.RepeatFraction = frac
-		} else {
-			w.RepeatFraction = 0
-		}
+		w.RepeatFraction, _ = m.Mean(w.RepeatFraction*noisedCount, int(noisedCount), 0, 1)
 	}
+	w.Score = search.Score(w.ReviewCount, w.ReviewMean, w.InferredCount, w.InferredMean)
 	return w
 }
 
@@ -485,6 +478,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		out[i] = s.releaseResult(FromResult(res))
 	}
+	// Rank by the released score, which a reader can check against the
+	// released fields. Ties keep the engine's order.
+	slices.SortStableFunc(out, func(a, b WireResult) int { return cmp.Compare(b.Score, a.Score) })
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -494,18 +490,13 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.URL.Query().Get("key")
-	cache := s.entityCache()
-	var gen uint64
-	if cache != nil {
-		// The generation is captured before any store read; a commit
-		// landing on this entity between here and the Put bumps it and
-		// the fill is dropped rather than installed stale.
-		body, g, ok := cache.Get(cacheNSEntity, key)
-		if ok {
-			writeJSONBytes(w, http.StatusOK, body)
-			return
-		}
-		gen = g
+	// The generation is captured before any store read; a commit
+	// landing on this entity between here and the Put bumps it and the
+	// fill is dropped rather than installed stale.
+	body, gen, ok := s.cache.Get(cacheNSEntity, key)
+	if ok {
+		writeJSONBytes(w, http.StatusOK, body)
+		return
 	}
 	ent := s.engine.Entity(key)
 	if ent == nil {
@@ -514,15 +505,13 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no entity %q", key))
 		return
 	}
-	res := s.releaseResult(FromResult(s.engine.Describe(ent)))
-	if cache != nil {
-		if body, err := encodeJSON(res); err == nil {
-			cache.Put(cacheNSEntity, key, gen, body)
-			writeJSONBytes(w, http.StatusOK, body)
-			return
-		}
+	body, err := encodeJSON(s.releaseResult(FromResult(s.engine.Describe(ent))))
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	s.cache.Put(cacheNSEntity, key, gen, body)
+	writeJSONBytes(w, http.StatusOK, body)
 }
 
 func (s *Server) handleReviews(w http.ResponseWriter, r *http.Request) {
@@ -587,34 +576,28 @@ func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	svc := r.URL.Query().Get("service")
-	// Only known service kinds (and the unfiltered listing) are
-	// cacheable: arbitrary ?service= strings must not mint cache keys.
-	var gen uint64
-	cached := s.dirKinds[svc]
-	if cached {
-		body, g, ok := s.cache.Get(cacheNSDirectory, svc)
-		if ok {
-			writeJSONBytes(w, http.StatusOK, body)
-			return
-		}
-		gen = g
+	d := s.dirs[svc]
+	if d == nil {
+		// No catalog entity is of an unknown kind.
+		writeJSONBytes(w, http.StatusOK, []byte("[]\n"))
+		return
 	}
-	// Initialized non-nil so an empty directory serializes as [] — a
-	// stable array type for clients — rather than JSON null.
-	out := []WireEntity{}
-	for _, e := range s.catalog {
-		if svc == "" || string(e.Service) == svc {
-			out = append(out, FromEntity(e))
+	d.once.Do(func() {
+		// Initialized non-nil so an empty directory serializes as [] — a
+		// stable array type for clients — rather than JSON null.
+		out := []WireEntity{}
+		for _, e := range s.catalog {
+			if svc == "" || string(e.Service) == svc {
+				out = append(out, FromEntity(e))
+			}
 		}
+		d.body, d.err = encodeJSON(out)
+	})
+	if d.err != nil {
+		writeErr(w, http.StatusInternalServerError, d.err)
+		return
 	}
-	if cached {
-		if body, err := encodeJSON(out); err == nil {
-			s.cache.Put(cacheNSDirectory, svc, gen, body)
-			writeJSONBytes(w, http.StatusOK, body)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSONBytes(w, http.StatusOK, d.body)
 }
 
 func (s *Server) handleTokenKey(w http.ResponseWriter, r *http.Request) {

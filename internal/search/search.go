@@ -140,15 +140,16 @@ func (e *Engine) Describe(ent *world.Entity) Result {
 	if e.histories != nil {
 		r.Aggregate = aggregate.ForEntity(e.histories, ent.Key())
 	}
-	r.Score = score(r)
+	r.Score = Score(r.ReviewCount, r.ReviewMean, r.InferredCount, r.InferredMean)
 	return r
 }
 
-// score ranks by shrunk weighted mean rating, then evidence volume.
-func score(r Result) float64 {
-	wReview := float64(r.ReviewCount)
-	wInferred := float64(r.InferredCount) * inferredDiscount
-	num := ratingPrior*priorWeight + r.ReviewMean*wReview + r.InferredMean*wInferred
+// Score is the ranking score of an evidence summary: the shrunk
+// weighted mean rating, so evidence volume counts too.
+func Score(reviewCount int, reviewMean float64, inferredCount int, inferredMean float64) float64 {
+	wReview := float64(reviewCount)
+	wInferred := float64(inferredCount) * inferredDiscount
+	num := ratingPrior*priorWeight + reviewMean*wReview + inferredMean*wInferred
 	den := priorWeight + wReview + wInferred
 	return num / den
 }
