@@ -296,3 +296,37 @@ func TestDPNoiseNotDerivableFromPublicKey(t *testing.T) {
 		t.Fatalf("noise at ε=1 (%v) is twice the noise at ε=2 (%v): the budgets share uniforms", o1, o2)
 	}
 }
+
+// RepeatFraction is a share of visitors, and its release is noised over
+// the visitor population, not the inferred-opinion count: an entity
+// with 40 visitors, every one of them back a second time, and no
+// inferred opinion releases a fraction near 1, not a suppressed 0.
+func TestDPRepeatFractionOverVisitors(t *testing.T) {
+	catalog := []*world.Entity{{ID: "r", Service: world.Yelp, Zip: "z", Category: "cafe", Name: "R"}}
+	srv, err := New(Config{Catalog: catalog, KeyBits: 512, Clock: simclock.NewSim(simclock.Epoch), PrivacyEpsilon: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, hists := srv.Stores()
+	for u := 0; u < 40; u++ {
+		for v := 0; v < 2; v++ {
+			_ = hists.Append(fmt.Sprintf("anon-%d", u), "yelp/r", interaction.Record{
+				Entity: "yelp/r", Kind: interaction.VisitKind,
+				Start:    simclock.Epoch.Add(time.Duration(u*100+v*1000) * time.Hour),
+				Duration: time.Hour, DistanceFrom: 2000,
+			})
+		}
+	}
+	if exact := srv.Engine().Describe(srv.Engine().Entity("yelp/r")); exact.InferredCount != 0 ||
+		exact.Aggregate.VisitsPerUser[2] != 40 || exact.Aggregate.RepeatFraction != 1 {
+		t.Fatalf("fixture: %d opinions, visit bins %v, repeat fraction %v",
+			exact.InferredCount, exact.Aggregate.VisitsPerUser, exact.Aggregate.RepeatFraction)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var res WireResult
+	getJSON(t, ts.URL+"/api/entity?key=yelp/r", &res)
+	if res.RepeatFraction <= 0.5 {
+		t.Fatalf("released repeat fraction %v for 40 visitors who all came back, want > 0.5", res.RepeatFraction)
+	}
+}

@@ -238,6 +238,12 @@ func (s *Server) releaseResult(w WireResult) WireResult {
 	}
 
 	if w.VisitsPerUser != nil {
+		// RepeatFraction is a share of visitors, so its population is
+		// the exact visitor count; Mean noises it.
+		visitors := 0
+		for _, n := range w.VisitsPerUser {
+			visitors += n
+		}
 		noised := m.Histogram(w.VisitsPerUser)
 		out := make(map[int]int, len(noised))
 		for k, v := range noised {
@@ -258,7 +264,7 @@ func (s *Server) releaseResult(w WireResult) WireResult {
 		w.MeanDistanceKmByVisits = dist
 		w.RawInteractions = int(math.Round(m.Count(w.RawInteractions)))
 		w.EffectiveInteractions = m.Count(int(math.Round(w.EffectiveInteractions)))
-		w.RepeatFraction, _ = m.Mean(w.RepeatFraction*noisedCount, int(noisedCount), 0, 1)
+		w.RepeatFraction, _ = m.Mean(w.RepeatFraction*float64(visitors), visitors, 0, 1)
 	}
 	w.Score = search.Score(w.ReviewCount, w.ReviewMean, w.InferredCount, w.InferredMean)
 	return w
@@ -633,15 +639,28 @@ func (s *Server) handleTokenSign(w http.ResponseWriter, r *http.Request) {
 	}
 	sig, err := s.issuer.Sign(req.Device, blinded)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, blindsig.ErrRateLimited) {
-			status = http.StatusTooManyRequests
+		status := tokenSignStatus(err)
+		if status == http.StatusTooManyRequests {
 			metricTokenRefusals.Inc()
 		}
 		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, TokenSignResponse{BlindSig: sig.String()})
+}
+
+// tokenSignStatus maps an Issuer.Sign error to its HTTP status: a
+// blinded value out of range is the client's fault, an exhausted budget
+// is 429, and anything else (a signing fault) is the server's.
+func tokenSignStatus(err error) int {
+	switch {
+	case errors.Is(err, blindsig.ErrBlindedOutOfRange):
+		return http.StatusBadRequest
+	case errors.Is(err, blindsig.ErrRateLimited):
+		return http.StatusTooManyRequests
+	default:
+		return http.StatusInternalServerError
+	}
 }
 
 func (s *Server) handleAttestChallenge(w http.ResponseWriter, r *http.Request) {

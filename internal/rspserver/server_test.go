@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
 	"net/http"
@@ -524,4 +525,24 @@ func TestWireRecordRoundTrip(t *testing.T) {
 // reviewsPost builds a minimal valid review for store-level posting.
 func reviewsPost(entity string) reviews.Review {
 	return reviews.Review{Entity: entity, Author: "x", Rating: 3, Time: simclock.Epoch}
+}
+
+// A sign error's status says whose fault it is: an out-of-range blinded
+// value is the client's (400), an exhausted budget is 429, and a
+// signing fault or anything unforeseen is the server's (500).
+func TestTokenSignStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{blindsig.ErrBlindedOutOfRange, http.StatusBadRequest},
+		{blindsig.ErrRateLimited, http.StatusTooManyRequests},
+		{blindsig.ErrSignFault, http.StatusInternalServerError},
+		{fmt.Errorf("issuer: %w", blindsig.ErrRateLimited), http.StatusTooManyRequests},
+		{errors.New("unforeseen"), http.StatusInternalServerError},
+	} {
+		if got := tokenSignStatus(tc.err); got != tc.want {
+			t.Errorf("tokenSignStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
 }

@@ -49,6 +49,12 @@ go test -run '^$' -bench=Commit -benchtime=1x ./internal/store/...
 echo "==> read-path benchmark smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/search ./internal/history ./internal/aggregate
 
+# The token benchmarks run once each so they keep running, not just
+# compiling. BenchmarkSignParallel is the one that shows whether signs
+# for different devices serialize on the issuer.
+echo "==> token-signing benchmark smoke (1 iteration)"
+go test -run '^$' -bench . -benchtime 1x ./internal/blindsig
+
 # The decoders recovery and replication rest on are fuzzed beyond their
 # seeds on every run: the WAL frame scan (recovery replays and
 # ExportFrames streams through it) and the snapshot reader. Minimizing
