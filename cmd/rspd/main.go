@@ -12,8 +12,9 @@
 // is opt-in behind -debug-addr so it never shares the public listener.
 //
 // Each request runs under a fixed middleware chain: a 30 s handler
-// timeout, shedding beyond 256 concurrent requests with a 1 s
-// Retry-After, and the last 256 traced spans kept for /debug/requests.
+// deadline (a handler that has written nothing by then answers 503),
+// shedding beyond 256 concurrent requests with a 1 s Retry-After, and
+// the last 256 traced spans kept for /debug/requests.
 package main
 
 import (

@@ -13,7 +13,7 @@ import (
 
 // sampleLine matches one Prometheus text-format sample:
 // name{label="value",...} number
-var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.eE+]+|\+Inf|NaN)$`)
+var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.]+(?:[eE][-+]?[0-9]+)?|\+Inf|NaN)$`)
 
 // parseExposition is a minimal text-format parser: it validates every
 // line is a comment or a well-formed sample, that every sample's family

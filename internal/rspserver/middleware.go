@@ -1,6 +1,7 @@
 package rspserver
 
 import (
+	"context"
 	"errors"
 	"log/slog"
 	"net"
@@ -127,19 +128,69 @@ func WithRecovery(logger *slog.Logger) Middleware {
 	}
 }
 
-// WithTimeout bounds each request's total handler time, answering 503
-// with a JSON error when it elapses. It shields the server from slow
-// handlers and slow-reading clients alike; handlers that stream should
-// be mounted outside this middleware (the buffering wrapper does not
-// support Flush).
+// WithTimeout bounds each request's handler time at d. The handler runs
+// on the request's own goroutine under a context that expires after d,
+// and writes straight to the connection. If the deadline passes before
+// the handler has written anything, the client gets 503 with a JSON
+// error instead, and the handler's later writes fail with
+// http.ErrHandlerTimeout. A handler that ignores its context keeps the
+// client waiting until it returns or writes; headers set after the
+// first write do not reach the client.
 func WithTimeout(d time.Duration) Middleware {
 	return func(next http.Handler) http.Handler {
 		if d <= 0 {
 			return next
 		}
-		return http.TimeoutHandler(next, d, `{"error":"request timed out"}`)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			ctx, cancel := context.WithTimeout(r.Context(), d)
+			defer cancel()
+			dw := &deadlineWriter{ResponseWriter: w, ctx: ctx}
+			next.ServeHTTP(dw, r.WithContext(ctx))
+			dw.start()
+		})
 	}
 }
+
+var errRequestTimeout = errors.New("request timed out")
+
+// deadlineWriter passes a handler's response through unless the first
+// write comes after the deadline, which it turns into the 503.
+type deadlineWriter struct {
+	http.ResponseWriter
+	ctx      context.Context
+	wrote    bool
+	timedOut bool
+}
+
+// start commits the response on its first call and reports whether the
+// handler's own response may still be written.
+func (w *deadlineWriter) start() bool {
+	if !w.wrote {
+		w.wrote = true
+		if errors.Is(w.ctx.Err(), context.DeadlineExceeded) {
+			w.timedOut = true
+			writeErr(w.ResponseWriter, http.StatusServiceUnavailable, errRequestTimeout)
+		}
+	}
+	return !w.timedOut
+}
+
+func (w *deadlineWriter) WriteHeader(code int) {
+	if w.start() {
+		w.ResponseWriter.WriteHeader(code)
+	}
+}
+
+func (w *deadlineWriter) Write(p []byte) (int, error) {
+	if !w.start() {
+		return 0, http.ErrHandlerTimeout
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+// Unwrap lets http.ResponseController reach the connection (Flush,
+// deadlines) through the wrapper.
+func (w *deadlineWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // WithMaxInFlight sheds load beyond n concurrently served requests,
 // answering 503 with a Retry-After hint instead of queueing without

@@ -3,10 +3,12 @@ package rspserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -227,24 +229,128 @@ func TestWithRecoveryRepanicsAbortHandler(t *testing.T) {
 	t.Fatal("ErrAbortHandler was swallowed")
 }
 
+// TestWithTimeoutSheds covers both handlers a deadline meets: one that
+// stops on its context without writing, and one that ignores it and
+// writes late. Either way the client gets the JSON 503, and the late
+// write is refused.
 func TestWithTimeoutSheds(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}), WithTimeout(20*time.Millisecond))
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
+	lateWrite := make(chan error, 1)
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+	}{
+		{"stops on its context", func(w http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+		}},
+		{"writes after the deadline", func(w http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+			w.WriteHeader(http.StatusOK)
+			_, err := w.Write([]byte("late"))
+			lateWrite <- err
+		}},
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 on timeout", resp.StatusCode)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(Chain(tc.handler, WithTimeout(20*time.Millisecond)))
+			defer ts.Close()
+			resp, err := http.Get(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status = %d, want 503 on timeout", resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type = %q, want application/json", ct)
+			}
+			var e ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+				t.Fatalf("timeout body is not an ErrorResponse: %+v, %v", e, err)
+			}
+		})
+	}
+	if err := <-lateWrite; !errors.Is(err, http.ErrHandlerTimeout) {
+		t.Fatalf("write after the deadline returned %v, want http.ErrHandlerTimeout", err)
+	}
+}
+
+// discardWriter is a ResponseWriter that drops the body, so only the
+// middleware's own allocations show in a measurement.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestWithTimeoutWritesInLine pins what the in-line deadline keeps and
+// what it no longer costs: the body goes straight to the connection,
+// the connection stays reachable through http.ResponseController, and
+// a panic still reaches the recovery middleware outside it.
+func TestWithTimeoutWritesInLine(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 1<<20)
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+		outer   []Middleware
+		check   func(t *testing.T, h http.Handler)
+	}{
+		{
+			name: "1MiB body is not copied",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				_, _ = w.Write(body)
+			},
+			check: func(t *testing.T, h http.Handler) {
+				const requests = 50
+				req := httptest.NewRequest(http.MethodGet, "/", nil)
+				w := &discardWriter{h: http.Header{}}
+				h.ServeHTTP(w, req)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < requests; i++ {
+					h.ServeHTTP(w, req)
+				}
+				runtime.ReadMemStats(&after)
+				if per := (after.TotalAlloc - before.TotalAlloc) / requests; per >= 64<<10 {
+					t.Fatalf("allocated %d B per 1 MiB response, want < 64 KiB", per)
+				}
+			},
+		},
+		{
+			name: "ResponseController flushes",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				if err := http.NewResponseController(w).Flush(); err != nil {
+					writeErr(w, http.StatusInternalServerError, err)
+				}
+			},
+			check: func(t *testing.T, h http.Handler) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+				if rec.Code != http.StatusOK || !rec.Flushed {
+					t.Fatalf("status %d, flushed %v, body %q: Flush did not reach the connection", rec.Code, rec.Flushed, rec.Body)
+				}
+			},
+		},
+		{
+			name: "panic reaches recovery",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				panic("kaboom")
+			},
+			outer: []Middleware{WithRecovery(testLogger(io.Discard))},
+			check: func(t *testing.T, h http.Handler) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+				if rec.Code != http.StatusInternalServerError {
+					t.Fatalf("status = %d, want 500", rec.Code)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mws := append(tc.outer, WithTimeout(time.Minute))
+			tc.check(t, Chain(tc.handler, mws...))
+		})
 	}
 }
 

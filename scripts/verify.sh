@@ -55,6 +55,11 @@ go test -run '^$' -bench . -benchtime 1x ./internal/search ./internal/history ./
 echo "==> token-signing benchmark smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/blindsig
 
+# The serving chain rspd -quiet mounts, over the directory route: its
+# B/op shows whether a middleware copies the response body again.
+echo "==> serving-chain benchmark smoke (1 iteration)"
+go test -run '^$' -bench ServeDirectory -benchtime 1x ./internal/rspserver
+
 # The decoders recovery and replication rest on are fuzzed beyond their
 # seeds on every run: the WAL frame scan (recovery replays and
 # ExportFrames streams through it) and the snapshot reader. Minimizing
