@@ -63,15 +63,21 @@ func main() {
 		epsilon    = flag.Float64("privacy-epsilon", 0, "when >0, release inference aggregates with ε-differential privacy")
 		rateLim    = flag.Int("rate-limit", 600, "per-host HTTP requests per minute (0 disables)")
 		quiet      = flag.Bool("quiet", false, "disable per-request logging")
-		replAddr   = flag.String("replication-addr", "", "listen address for the WAL replication stream (leader mode; a follower with this set starts leading on promotion)")
-		replFrom   = flag.String("replicate-from", "", "leader replication address to follow (follower mode: mutating routes answer 503 until promotion)")
-		replSync   = flag.Bool("replication-sync", true, "semi-synchronous commits: acknowledge a mutation only after an attached follower has it (with -replication-addr)")
+		replAddr   = flag.String("replication-addr", "", "listen address for the WAL replication stream (leader mode, with -wal-dir; commits are acknowledged only after an attached follower has them; a follower with this set starts leading on promotion)")
+		replFrom   = flag.String("replicate-from", "", "leader replication address to follow (follower mode, with -wal-dir: mutating routes answer 503 until promotion)")
 		failAfter  = flag.Duration("failover-after", 10*time.Second, "follower auto-promotes after this long without leader contact (with -replicate-from; 0 = explicit /promote only)")
 		leaderURL  = flag.String("leader-url", "", "leader's public HTTP URL, returned as X-Leader on follower-gate 503s")
 		clusterCfg = flag.String("cluster-config", "", "cluster ring descriptor (JSON); the node serves one partition of a multi-node deployment")
 		partition  = flag.Int("partition", -1, "this node's partition id in the -cluster-config ring")
 	)
 	flag.Parse()
+
+	// Replication ships WAL frames and acks what the follower has
+	// fsynced, so both ends need a log.
+	if (*replAddr != "" || *replFrom != "") && *walDir == "" {
+		fmt.Fprintln(os.Stderr, "-replication-addr and -replicate-from require -wal-dir")
+		os.Exit(2)
+	}
 
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
 	slog.SetDefault(logger)
@@ -155,8 +161,7 @@ func main() {
 	// -failover-after without leader contact. A follower that also has
 	// -replication-addr set starts serving the stream itself the moment
 	// it is promoted, so the survivor of a failover can take followers
-	// of its own. Works with a memory-only store too (the stream is the
-	// durability), though -wal-dir is the intended pairing.
+	// of its own.
 	stateStore := rsp.Store()
 	var (
 		repMu     sync.Mutex
@@ -173,14 +178,14 @@ func main() {
 			logger.Error("replication listener failed", "addr", *replAddr, "err", err)
 			return
 		}
-		l := replication.NewLeader(stateStore, replication.LeaderOptions{SyncCommit: *replSync, Logger: logger})
+		l := replication.NewLeader(stateStore, replication.LeaderOptions{Logger: logger})
 		repLeader = l
 		go func() {
 			if err := l.Serve(ln); err != nil {
 				logger.Error("replication serve failed", "err", err)
 			}
 		}()
-		logger.Info("replication leader serving", "addr", *replAddr, "sync", *replSync)
+		logger.Info("replication leader serving", "addr", *replAddr)
 	}
 	var follower *replication.Follower
 	switch {

@@ -83,7 +83,7 @@ func TestClusterKillOneLeaderSoak(t *testing.T) {
 	defer followerSt.Close()
 
 	leader := replication.NewLeader(leaderSt, replication.LeaderOptions{
-		SyncCommit: true, AckTimeout: 2 * time.Second, HeartbeatEvery: 20 * time.Millisecond, Logger: quiet,
+		AckTimeout: 2 * time.Second, HeartbeatEvery: 20 * time.Millisecond, Logger: quiet,
 	})
 	repLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -25,11 +25,11 @@ func benchStore(b *testing.B) *store.Store {
 	return s
 }
 
-func benchPair(b *testing.B, sync bool) (*store.Store, *store.Store, *Leader, *Follower) {
+func benchPair(b *testing.B) (*store.Store, *Leader) {
 	b.Helper()
 	leaderStore, followerStore := benchStore(b), benchStore(b)
 	l := NewLeader(leaderStore, LeaderOptions{
-		SyncCommit: sync, AckTimeout: 10 * time.Second,
+		AckTimeout:     10 * time.Second,
 		HeartbeatEvery: 20 * time.Millisecond, Logger: quietLogger(),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,7 +52,7 @@ func benchPair(b *testing.B, sync bool) (*store.Store, *store.Store, *Leader, *F
 	if !f.Connected() {
 		b.Fatal("follower never connected")
 	}
-	return leaderStore, followerStore, l, f
+	return leaderStore, l
 }
 
 func benchRec(i int) *store.Record {
@@ -70,13 +70,13 @@ func benchRec(i int) *store.Record {
 	}
 }
 
-// BenchmarkReplicatedCommitSync measures commit throughput with the
-// semi-synchronous barrier on: each op is apply + local WAL append +
-// ship + follower apply/fsync + ack. The reported lag-records is the
+// BenchmarkReplicatedCommitSync measures commit throughput through the
+// semi-synchronous barrier: each op is apply + local WAL append + ship
+// + follower apply/fsync + ack. The reported lag-records is the
 // steady-state follower lag when the run ends (0 is the semi-sync
 // promise).
 func BenchmarkReplicatedCommitSync(b *testing.B) {
-	leaderStore, _, l, _ := benchPair(b, true)
+	leaderStore, l := benchPair(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := leaderStore.Commit(benchRec(i)); err != nil {
@@ -85,26 +85,4 @@ func BenchmarkReplicatedCommitSync(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(leaderStore.Seq()-l.FollowerAck()), "lag-records")
-}
-
-// BenchmarkReplicatedCommitAsync measures pure leader-side throughput
-// with the barrier off — the shipper runs behind the commit path — and
-// reports the follower lag observed the moment the commit loop stops:
-// the steady-state backlog the stream carries at this commit rate.
-func BenchmarkReplicatedCommitAsync(b *testing.B) {
-	leaderStore, followerStore, l, _ := benchPair(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := leaderStore.Commit(benchRec(i)); err != nil {
-			b.Fatalf("commit: %v", err)
-		}
-	}
-	lag := leaderStore.Seq() - l.FollowerAck()
-	b.StopTimer()
-	b.ReportMetric(float64(lag), "lag-records")
-	// Let the follower drain so Cleanup doesn't race a mid-apply close.
-	deadline := time.Now().Add(10 * time.Second)
-	for followerStore.Seq() < leaderStore.Seq() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 }

@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"log/slog"
 	"net"
 	"sync"
@@ -13,6 +14,10 @@ import (
 	"opinions/internal/storage"
 	"opinions/internal/store"
 )
+
+// errRefused ends a session the leader refused because this follower
+// holds records the leader lacks (see Leader.serveConn).
+var errRefused = errors.New("replication: leader refused this follower: it holds records the leader lacks; wipe its -wal-dir to re-seed it")
 
 // FollowerOptions configures the applying side.
 type FollowerOptions struct {
@@ -90,7 +95,8 @@ func StartFollower(st *store.Store, addr string, opts FollowerOptions) *Follower
 // Promoted reports whether this node has taken over as leader.
 func (f *Follower) Promoted() bool { return f.promoted.Load() }
 
-// Connected reports whether a session to the leader is live.
+// Connected reports whether a session to the leader is live: the
+// leader accepted the handshake and its first message has arrived.
 func (f *Follower) Connected() bool { return f.connected.Load() }
 
 // Lag is how many leader commits this follower has not yet applied.
@@ -237,7 +243,6 @@ func (f *Follower) session() (bool, error) {
 		return false, err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	f.connected.Store(true)
 	defer f.connected.Store(false)
 
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -248,7 +253,12 @@ func (f *Follower) session() (bool, error) {
 		if err != nil {
 			return progressed, err
 		}
+		// A refusal is leader contact too: a live leader that keeps
+		// refusing must not look like an outage to checkFailover.
 		f.touch()
+		if msg.kind == msgRefusal {
+			return progressed, errRefused
+		}
 		progressed = true
 		switch msg.kind {
 		case msgFrame:
@@ -278,6 +288,10 @@ func (f *Follower) session() (bool, error) {
 		if mine := f.st.Seq(); mine > f.leaderSeq.Load() {
 			f.leaderSeq.Store(mine)
 		}
+		// Only now is the leader's total from this session known (the
+		// leader opens every session with a heartbeat), so only now may
+		// CaughtUp compare against it.
+		f.connected.Store(true)
 		metricApplyLag.Set(int64(f.Lag()))
 		// A frame moved only its own stripe; a snapshot or heartbeat is
 		// acked with the full vector.

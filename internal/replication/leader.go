@@ -15,25 +15,21 @@ import (
 	"opinions/internal/store"
 )
 
-// LeaderOptions configures the shipping side.
+// subBuffer is the per-session live-frame buffer; a follower that
+// falls further behind than this is dropped back to catch-up.
+const subBuffer = 4096
+
+// LeaderOptions configures the shipping side. Replication is always
+// semi-synchronous: while at least one follower is attached, a commit
+// is acknowledged only after a follower acks its stripe's sequence (or
+// AckTimeout passes, surfacing ErrReplicationLag to the committer).
+// With no follower attached the barrier waves commits through — a lone
+// leader must not stall — and counts them as degraded.
 type LeaderOptions struct {
-	// SyncCommit installs a commit barrier on the store: while at least
-	// one follower is attached, a commit is acknowledged only after a
-	// follower acks its stripe's sequence (or AckTimeout passes,
-	// surfacing ErrReplicationLag to the committer). With no follower
-	// attached the barrier waves commits through — a lone leader must
-	// not stall — and counts them as degraded. Off, replication is
-	// purely asynchronous and a leader crash can lose
-	// acked-but-unshipped records.
-	SyncCommit bool
 	// AckTimeout bounds the barrier wait (default 2s).
 	AckTimeout time.Duration
 	// HeartbeatEvery paces idle-stream heartbeats (default 1s).
 	HeartbeatEvery time.Duration
-	// SubBuffer is the per-session live-frame buffer (default 4096); a
-	// follower that falls further behind than this is dropped back to
-	// catch-up.
-	SubBuffer int
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
 }
@@ -55,9 +51,9 @@ type Leader struct {
 
 var errLeaderClosed = errors.New("replication: leader closed")
 
-// NewLeader wires a leader to its store; with SyncCommit it installs
-// the store's commit barrier on the spot. Call Serve to accept
-// followers.
+// NewLeader wires a leader to its store, which must have a Dir, and
+// installs the store's commit barrier on the spot. Call Serve to
+// accept followers.
 func NewLeader(st *store.Store, opts LeaderOptions) *Leader {
 	if opts.AckTimeout <= 0 {
 		opts.AckTimeout = 2 * time.Second
@@ -65,17 +61,12 @@ func NewLeader(st *store.Store, opts LeaderOptions) *Leader {
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = time.Second
 	}
-	if opts.SubBuffer <= 0 {
-		opts.SubBuffer = 4096
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
 	l := &Leader{st: st, opts: opts, conns: make(map[net.Conn]struct{})}
 	l.acks.init(st.NumStripes())
-	if opts.SyncCommit {
-		st.SetCommitBarrier(l.barrier)
-	}
+	st.SetCommitBarrier(l.barrier)
 	return l
 }
 
@@ -157,9 +148,7 @@ func (l *Leader) Close() error {
 		conns = append(conns, conn)
 	}
 	l.mu.Unlock()
-	if l.opts.SyncCommit {
-		l.st.SetCommitBarrier(nil)
-	}
+	l.st.SetCommitBarrier(nil)
 	for _, ln := range lns {
 		ln.Close()
 	}
@@ -170,11 +159,13 @@ func (l *Leader) Close() error {
 	return nil
 }
 
-// serveConn runs one follower session: handshake, catch-up (disk
-// frames, or a snapshot when the follower is behind the compaction
-// base), then the live stream with heartbeats, while a side goroutine
-// consumes acks. Any error ends the session; the follower redials and
-// the next handshake resumes from wherever its disk actually is.
+// serveConn runs one follower session: handshake, a heartbeat with
+// the leader's total (so the follower does not count itself caught up
+// while catch-up is still running), catch-up (disk frames, or a
+// snapshot when the follower is behind the compaction base), then the
+// live stream with heartbeats, while a side goroutine consumes acks.
+// Any error ends the session; the follower redials and the next
+// handshake resumes from wherever its disk actually is.
 func (l *Leader) serveConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -184,12 +175,19 @@ func (l *Leader) serveConn(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if len(followerVec) != l.st.NumStripes() {
-		// Frames are addressed by stripe; a follower striped differently
-		// cannot apply them. Ending the session (rather than snapshot-
-		// seeding into a collapsed vector) surfaces the misconfiguration.
-		l.opts.Logger.Warn("replication: follower stripe geometry mismatch",
-			"remote", conn.RemoteAddr(), "follower_stripes", len(followerVec), "stripes", l.st.NumStripes())
+	if vec := l.st.SeqVector(); store.FramePosition(vec, followerVec) != store.FrameDup {
+		// The follower holds a frame this leader does not: the leader lost
+		// it (frames leave before the group fsync) and may since have
+		// committed another record at that sequence. Streaming would skip
+		// that record as a duplicate and leave the two stores diverged at
+		// equal vectors; snapshot-seeding cannot help, since Restore never
+		// lowers a lane. Refusing makes the divergence visible; the
+		// refusal message tells the follower its leader is alive, so it
+		// does not take the refusal for an outage and promote itself.
+		metricFollowersAhead.Inc()
+		l.opts.Logger.Error("replication: follower is ahead of the leader; refusing it (wipe the follower's -wal-dir to re-seed it)",
+			"remote", conn.RemoteAddr(), "follower_vec", followerVec, "leader_vec", vec)
+		writeRefusalMsg(conn)
 		return
 	}
 	metricFollowersConnected.Add(1)
@@ -198,13 +196,17 @@ func (l *Leader) serveConn(conn net.Conn) {
 	// Subscribe before catch-up: everything at or below sub.StartVec()
 	// comes from disk (or the snapshot), everything after arrives on the
 	// subscription, and the seams overlap rather than gap.
-	sub := l.st.SubscribeFrames(l.opts.SubBuffer)
+	sub := l.st.SubscribeFrames(subBuffer)
 	defer l.st.Unsubscribe(sub)
 	l.acks.attach(followerVec)
 	defer l.acks.detach()
 
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	last, err := l.catchUp(bw, followerVec, sub)
+	last := followerVec
+	err = writeHeartbeatMsg(bw, l.st.Seq())
+	if err == nil {
+		last, err = l.catchUp(bw, followerVec, sub)
+	}
 	if err == nil {
 		err = writeHeartbeatMsg(bw, l.st.Seq())
 	}

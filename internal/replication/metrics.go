@@ -15,6 +15,8 @@ var (
 		"Follower sessions currently attached to this leader.")
 	metricBarrierTimeouts = obs.Default.Counter("replication_barrier_timeouts_total",
 		"Semi-sync commits refused because no follower acked in time.")
+	metricFollowersAhead = obs.Default.Counter("replication_follower_ahead_total",
+		"Follower sessions refused because the follower held frames this leader does not.")
 	metricDegradedCommits = obs.Default.Counter("replication_degraded_commits_total",
 		"Semi-sync commits acknowledged with no follower attached.")
 	metricApplied = obs.Default.Counter("replication_applied_total",

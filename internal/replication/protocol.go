@@ -26,6 +26,8 @@
 //	'H' heartbeat: uint64 BE leader total sequence — keeps the
 //	               connection alive and lets an idle follower measure
 //	               its lag
+//	'R' refusal:   no body — the follower holds records the leader
+//	               lacks; the leader closes the connection after it
 //
 // The follower's side of the stream is a sequence of acks, each a
 // uint32 BE stripe plus uint64 BE sequence: "everything at or below
@@ -42,6 +44,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"opinions/internal/stripe"
 )
 
 const (
@@ -50,10 +54,7 @@ const (
 	msgFrame     = 'F'
 	msgSnapshot  = 'S'
 	msgHeartbeat = 'H'
-
-	// maxStripesWire bounds the handshake's stripe count; mirrors the
-	// store's maxStripes.
-	maxStripesWire = 1024
+	msgRefusal   = 'R'
 
 	// maxFrameBytes mirrors the store's maxRecordBytes: a larger length
 	// prefix is corruption, not data.
@@ -91,9 +92,11 @@ func readHandshake(r io.Reader) ([]uint64, error) {
 	if string(hdr[:len(handshakeMagic)]) != handshakeMagic {
 		return nil, errors.New("replication: bad handshake magic")
 	}
+	// Frames are addressed by stripe, so a follower striped differently
+	// could not apply them.
 	n := binary.BigEndian.Uint32(hdr[len(handshakeMagic):])
-	if n == 0 || n > maxStripesWire {
-		return nil, fmt.Errorf("replication: handshake stripe count %d out of range", n)
+	if n != stripe.NumShards {
+		return nil, fmt.Errorf("replication: handshake stripe count %d, want %d", n, stripe.NumShards)
 	}
 	buf := make([]byte, 8*n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -130,6 +133,11 @@ func writeSnapshotMsg(w io.Writer, seq uint64, blob []byte) error {
 		return err
 	}
 	_, err := w.Write(blob)
+	return err
+}
+
+func writeRefusalMsg(w io.Writer) error {
+	_, err := w.Write([]byte{msgRefusal})
 	return err
 }
 
@@ -219,6 +227,8 @@ func readMessage(r *bufio.Reader) (message, error) {
 			return message{}, fmt.Errorf("replication: reading heartbeat: %w", err)
 		}
 		return message{kind: kind, seq: binary.BigEndian.Uint64(buf[:])}, nil
+	case msgRefusal:
+		return message{kind: kind}, nil
 	default:
 		return message{}, fmt.Errorf("replication: unknown message type %q", kind)
 	}

@@ -8,7 +8,11 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +21,7 @@ import (
 	"opinions/internal/resilience"
 	"opinions/internal/simclock"
 	"opinions/internal/store"
+	"opinions/internal/stripe"
 )
 
 func quietLogger() *slog.Logger {
@@ -163,9 +168,7 @@ func TestSnapshotSeedWhenBehindCompactionBase(t *testing.T) {
 
 func TestSyncBarrierRefusesWithoutAck(t *testing.T) {
 	leaderStore := openStore(t)
-	leader, addr := startLeader(t, leaderStore, LeaderOptions{
-		SyncCommit: true, AckTimeout: 100 * time.Millisecond,
-	})
+	leader, addr := startLeader(t, leaderStore, LeaderOptions{AckTimeout: 100 * time.Millisecond})
 
 	// No follower attached: semi-sync degrades to async and commits pass.
 	commitUpload(t, leaderStore, 0)
@@ -283,6 +286,23 @@ func TestHandshakeRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsOtherWidth: frames are addressed by stripe, so a
+// handshake vector of any width but stripe.NumShards is refused.
+func TestHandshakeRejectsOtherWidth(t *testing.T) {
+	for _, n := range []int{1, 4, stripe.NumShards + 1} {
+		var buf bytes.Buffer
+		writeHandshake(&buf, make([]uint64, n))
+		if _, err := readHandshake(&buf); err == nil {
+			t.Errorf("handshake with %d stripes accepted", n)
+		}
+	}
+	var buf bytes.Buffer
+	writeHandshake(&buf, make([]uint64, stripe.NumShards))
+	if _, err := readHandshake(&buf); err != nil {
+		t.Fatalf("handshake at the shipped width: %v", err)
+	}
+}
+
 // TestRetrainAndSweepRecordsReplicate: a retrain (on the training
 // pairs' stripe) and per-entity sweep records travel like any other
 // frame, the follower's per-stripe acks satisfy the leader's semi-sync
@@ -290,9 +310,7 @@ func TestHandshakeRejectsBadMagic(t *testing.T) {
 // default stripe width.
 func TestRetrainAndSweepRecordsReplicate(t *testing.T) {
 	leaderStore, followerStore := openStore(t), openStore(t)
-	leader, addr := startLeader(t, leaderStore, LeaderOptions{
-		SyncCommit: true, AckTimeout: 5 * time.Second,
-	})
+	leader, addr := startLeader(t, leaderStore, LeaderOptions{AckTimeout: 5 * time.Second})
 	f := StartFollower(followerStore, addr, fastFollowerOpts())
 	defer f.Close()
 	waitFor(t, 5*time.Second, "follower connected", f.Connected)
@@ -411,4 +429,172 @@ func TestSweptBindingSurvivesLeaderRestart(t *testing.T) {
 	if n := len(ls.Histories); n != 7 {
 		t.Fatalf("leader dump holds %d entries, want 6 histories and anon-4's swept binding", n)
 	}
+}
+
+// anonIDs lists the anonymous IDs holding a history on entity.
+func anonIDs(s *store.Store, entity string) []string {
+	var ids []string
+	for _, h := range s.Histories().ByEntity(entity) {
+		ids = append(ids, h.AnonID)
+	}
+	return ids
+}
+
+// copyDir copies the files of a WAL directory, as a leader's disk
+// stood at that moment.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFollowerAheadOfRestartedLeaderRefused: a leader publishes a frame
+// before the group fsync covers it, so a leader killed in that window
+// restarts without a record its follower already applied. The
+// follower, ahead in that stripe, must be refused: once the leader
+// commits another record at that sequence, streaming would skip it as a
+// duplicate and leave the two stores diverged at equal vectors. A
+// refusal is leader contact, so an auto-failover follower does not
+// promote itself over the live leader refusing it. Wiping the
+// follower's directory is the remedy: it re-seeds from the leader.
+func TestFollowerAheadOfRestartedLeaderRefused(t *testing.T) {
+	opts := store.Options{
+		Dir: t.TempDir(), NoSync: true, CompactEvery: -1,
+		Clock: simclock.NewSim(simclock.Epoch), Logger: quietLogger(),
+	}
+	leaderStore, err := store.Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	followerStore := openStore(t)
+	leader, addr := startLeader(t, leaderStore, LeaderOptions{})
+	var dials atomic.Int32 // sessions that reached a listener
+	fopts := fastFollowerOpts()
+	fopts.FailoverAfter = 500 * time.Millisecond
+	fopts.Dial = func(addr string) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil {
+			dials.Add(1)
+		}
+		return conn, err
+	}
+	f := StartFollower(followerStore, addr, fopts)
+	defer f.Close()
+	for i := 0; i < 3; i++ {
+		commitUpload(t, leaderStore, i)
+	}
+	waitFor(t, 5*time.Second, "follower caught up", func() bool { return followerStore.Seq() == 3 })
+
+	// The leader's disk as a kill -9 leaves it before record X's fsync:
+	// X reaches the follower, but not the disk the leader restarts from.
+	crashed := t.TempDir()
+	copyDir(t, opts.Dir, crashed)
+	visit := &interaction.Record{Entity: "ent/x", Kind: interaction.VisitKind, Start: simclock.Epoch}
+	if err := leaderStore.Commit(&store.Record{Kind: store.KindUpload, AnonID: "anon-x", Entity: "ent/x", Visit: visit, Key: "key-x"}); err != nil {
+		t.Fatalf("commit X: %v", err)
+	}
+	waitFor(t, 5*time.Second, "follower applied X", func() bool { return followerStore.Seq() == 4 })
+	leader.Close()
+	leaderStore.Close()
+
+	opts.Dir = crashed
+	restarted, err := store.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer restarted.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen again on %s: %v", addr, err)
+	}
+	refused, dialed := metricFollowersAhead.Value(), dials.Load()
+	leader = NewLeader(restarted, LeaderOptions{Logger: quietLogger(), HeartbeatEvery: 20 * time.Millisecond})
+	go leader.Serve(ln)
+	defer leader.Close()
+	restartedAt := time.Now()
+
+	// Refused well past the failover deadline: still a follower.
+	waitFor(t, 10*time.Second, "the follower's sessions refused and redialed", func() bool {
+		return dials.Load() >= dialed+3 && time.Since(restartedAt) >= 3*fopts.FailoverAfter
+	})
+	if metricFollowersAhead.Value() == refused {
+		t.Fatal("refusals not counted on replication_follower_ahead_total")
+	}
+	if f.Promoted() {
+		t.Fatal("refused follower promoted itself while its leader was up")
+	}
+	if leader.Attached() != 0 || f.CaughtUp() {
+		t.Fatalf("attached %d, caught up %v; want the ahead follower refused", leader.Attached(), f.CaughtUp())
+	}
+	f.Close()
+
+	// Y takes the sequence X held in ent/x's stripe: equal vectors, two
+	// histories. A follower with a wiped directory re-seeds onto Y.
+	if err := restarted.Commit(&store.Record{Kind: store.KindUpload, AnonID: "anon-y", Entity: "ent/x", Visit: visit, Key: "key-y"}); err != nil {
+		t.Fatalf("commit Y: %v", err)
+	}
+	if !slices.Equal(restarted.SeqVector(), followerStore.SeqVector()) {
+		t.Fatalf("restarted leader at %v, follower at %v; want equal vectors", restarted.SeqVector(), followerStore.SeqVector())
+	}
+	if got := anonIDs(followerStore, "ent/x"); !slices.Equal(got, []string{"anon-x"}) {
+		t.Fatalf("refused follower holds %v on ent/x, want its own [anon-x] untouched", got)
+	}
+	wiped := openStore(t)
+	f2 := StartFollower(wiped, addr, fastFollowerOpts())
+	defer f2.Close()
+	waitFor(t, 5*time.Second, "wiped follower re-seeded", func() bool { return wiped.Seq() == restarted.Seq() })
+	if got := anonIDs(wiped, "ent/x"); !slices.Equal(got, []string{"anon-y"}) {
+		t.Fatalf("re-seeded follower holds %v on ent/x, want the leader's [anon-y]", got)
+	}
+}
+
+// slowConn hands the follower the leader's stream a few bytes at a
+// time, so catch-up takes many reads.
+type slowConn struct{ net.Conn }
+
+func (c slowConn) Read(p []byte) (int, error) {
+	time.Sleep(100 * time.Microsecond)
+	return c.Conn.Read(p[:min(len(p), 64)])
+}
+
+// TestNotCaughtUpDuringCatchUp: CaughtUp (and so rspd's /readyz) must
+// read false while a fresh follower is still replaying the leader's
+// backlog. Frames carry per-stripe sequences only, so the follower
+// needs the leader's total before the first frame arrives.
+func TestNotCaughtUpDuringCatchUp(t *testing.T) {
+	leaderStore, followerStore := openStore(t), openStore(t)
+	const n = 300
+	for i := 0; i < n; i++ {
+		commitUpload(t, leaderStore, i)
+	}
+	_, addr := startLeader(t, leaderStore, LeaderOptions{})
+	opts := fastFollowerOpts()
+	opts.Dial = func(addr string) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return slowConn{conn}, nil
+	}
+	f := StartFollower(followerStore, addr, opts)
+	defer f.Close()
+	waitFor(t, 20*time.Second, "catch-up", func() bool {
+		caught, seq := f.CaughtUp(), followerStore.Seq()
+		if caught && seq < n {
+			t.Fatalf("follower reports caught up at seq %d of %d", seq, n)
+		}
+		return seq == n
+	})
+	waitFor(t, 5*time.Second, "caught up after catch-up", f.CaughtUp)
 }

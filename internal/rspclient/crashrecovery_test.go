@@ -51,10 +51,8 @@ func TestCrashMidWALAppendRecoversExactly(t *testing.T) {
 
 	// Process #1: one of its per-stripe WAL segments tears halfway
 	// through that file's 6th write and the store latches unavailable —
-	// the moment of death. Four commit stripes keep each lane busy
-	// enough to reach the fault ordinal while still exercising the
-	// striped recovery path; auto-compaction is off so the crash lands
-	// in a populated segment.
+	// the moment of death. Auto-compaction is off so the crash lands in
+	// a populated segment.
 	crashOpen := func(path string) (store.File, error) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -63,7 +61,7 @@ func TestCrashMidWALAppendRecoversExactly(t *testing.T) {
 		return faultinject.NewCrashFile(f, 6), nil
 	}
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	st1, err := store.Open(store.Options{Dir: walDir, Stripes: 4, CompactEvery: -1, OpenFile: crashOpen, Logger: quiet})
+	st1, err := store.Open(store.Options{Dir: walDir, CompactEvery: -1, OpenFile: crashOpen, Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestCrashMidWALAppendRecoversExactly(t *testing.T) {
 
 	// Process #2 recovers from the directory: snapshot (none here) plus
 	// WAL replay, truncating the torn tail the crash left.
-	st2, err := store.Open(store.Options{Dir: walDir, Stripes: 4, CompactEvery: -1, Logger: quiet})
+	st2, err := store.Open(store.Options{Dir: walDir, CompactEvery: -1, Logger: quiet})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}

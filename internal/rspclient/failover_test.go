@@ -155,7 +155,7 @@ func TestKillTheLeaderFailoverSoak(t *testing.T) {
 	// injector, so some uploads are committed but never acknowledged —
 	// the duplicates the follower's replicated ledger must absorb.
 	leader := replication.NewLeader(leaderSt, replication.LeaderOptions{
-		SyncCommit: true, AckTimeout: 2 * time.Second, HeartbeatEvery: 20 * time.Millisecond, Logger: quiet,
+		AckTimeout: 2 * time.Second, HeartbeatEvery: 20 * time.Millisecond, Logger: quiet,
 	})
 	repLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,13 +1,8 @@
 package rspserver
 
 import (
-	"fmt"
 	"net/http/httptest"
 	"testing"
-
-	"opinions/internal/simclock"
-	"opinions/internal/store"
-	"opinions/internal/world"
 )
 
 // uploadFor builds a rating upload for the test catalog's entity "a".
@@ -131,47 +126,6 @@ func TestDedupLedgerSurvivesSnapshot(t *testing.T) {
 	_, ops, _ := srv2.Stores()
 	if got := ops.Total(); got != 1 {
 		t.Fatalf("opinions.Total() = %d after restart + redelivery, want 1", got)
-	}
-}
-
-// TestDedupLedgerBounded: the ledger evicts FIFO at its configured
-// capacity instead of growing without bound.
-func TestDedupLedgerBounded(t *testing.T) {
-	catalog := []*world.Entity{
-		{ID: "a", Service: world.Yelp, Zip: "z", Category: "c", Name: "A", Quality: 3},
-	}
-	clock := simclock.NewSim(simclock.Epoch)
-	st, err := store.Open(store.Options{Clock: clock, DedupCapacity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	srv, err := New(Config{Catalog: catalog, Clock: clock, KeyBits: 1024, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 7; i++ {
-		req := uploadFor(t, ts, "dev-bound", fmt.Sprintf("key-bound-%d", i))
-		if resp := postJSON(t, ts.URL+"/api/upload", req, nil); resp.StatusCode != 202 {
-			t.Fatalf("upload %d status %d", i, resp.StatusCode)
-		}
-	}
-	if got := srv.Store().Ledger().Len(); got != 4 {
-		t.Fatalf("ledger holds %d keys, want capacity 4", got)
-	}
-	// The newest key is still deduplicated; the evicted oldest one has
-	// degraded (by design) to at-least-once.
-	newest := uploadFor(t, ts, "dev-bound", "key-bound-6")
-	_, ops, _ := srv.Stores()
-	before := ops.Total()
-	if resp := postJSON(t, ts.URL+"/api/upload", newest, nil); resp.StatusCode != 202 {
-		t.Fatalf("redelivery of newest key status %d", resp.StatusCode)
-	}
-	if got := ops.Total(); got != before {
-		t.Fatalf("opinions.Total() = %d after deduplicated redelivery, want %d", got, before)
 	}
 }
 

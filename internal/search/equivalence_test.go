@@ -85,7 +85,7 @@ func oracleBuild(entityKey string, hists []*history.EntityHistory) *aggregate.En
 // calls and payments, so some histories have no visits), attempts to
 // re-bind an ID to another entity, per-entity sweeps, training pairs
 // and retrains, dump→restore round trips and WAL replays through a
-// four-stripe durable store, and after every step checks each entity's
+// durable store, and after every step checks each entity's
 // Describe aggregate against oracleBuild over ByEntity, with
 // reflect.DeepEqual: the maintained index must give the recomputed
 // answer bit for bit. Every close/Open replay — its stripes applied in
@@ -107,7 +107,7 @@ func TestDescribeMatchesOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			opts := store.Options{
-				Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 4,
+				Dir: dir, NoSync: true, CompactEvery: -1,
 				Clock:  simclock.NewSim(t0),
 				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 			}

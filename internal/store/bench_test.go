@@ -83,24 +83,23 @@ func BenchmarkWALAppendParallel(b *testing.B) {
 }
 
 // commitParallel drives `committers` goroutines through the full
-// durable commit path (apply, append, fsync) against a store with 8
-// stripes. Goroutine g's entity hashes to stripe g%lanes, so lanes=1
-// funnels everyone through one group-commit syncer while lanes=8
-// spreads them across independent lanes. Records are prebuilt so the
-// timed region is the commit pipeline, not fmt.Sprintf.
+// durable commit path (apply, append, fsync). Goroutine g's entity
+// hashes to stripe g%lanes, so lanes=1 funnels everyone through one
+// group-commit syncer while lanes=8 spreads them across independent
+// lanes. Records are prebuilt so the timed region is the commit
+// pipeline, not fmt.Sprintf.
 func commitParallel(b *testing.B, committers, lanes int) {
-	const stripes = 8
 	ents := make([]string, committers)
 	for g := range ents {
 		want := g % lanes
 		for i := 0; ents[g] == ""; i++ {
-			if e := fmt.Sprintf("bench/ent-%d", i); stripe.IndexN(e, stripes) == want {
+			if e := fmt.Sprintf("bench/ent-%d", i); stripe.Index(e) == want {
 				ents[g] = e
 			}
 		}
 	}
 	s, err := Open(Options{
-		Dir: b.TempDir(), Stripes: stripes,
+		Dir:   b.TempDir(),
 		Clock: simclock.NewSim(simclock.Epoch), CompactEvery: -1,
 	})
 	if err != nil {

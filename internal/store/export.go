@@ -15,7 +15,9 @@ import (
 // a follower ingests that stream through CommitReplicated, which
 // applies records at the leader's exact (stripe, sequence) coordinates
 // so the two stores share one sequence space per stripe. Every frame
-// belongs to exactly one stripe, on disk and on the wire alike.
+// belongs to exactly one stripe, on disk and on the wire alike, so
+// both ends of a replication stream are stores with a Dir: a
+// memory-only store publishes no frames and has none to export.
 // SetCommitBarrier lets the replication layer hold each local commit's
 // acknowledgement until a follower has durably acked that stripe's
 // sequence (semi-synchronous replication); without a barrier installed
@@ -211,12 +213,8 @@ func (s *Store) setBase(vec []uint64) {
 // frames may no longer exist on disk — they are folded into the
 // snapshot. A replica whose applied vector sits below the base in any
 // stripe cannot be caught up by frames alone and must be seeded with a
-// snapshot. Memory-only stores have no frames at all, so their base is
-// the current vector.
+// snapshot.
 func (s *Store) BaseVector() []uint64 {
-	if s.lanes[0].log == nil {
-		return s.SeqVector()
-	}
 	s.baseMu.Lock()
 	defer s.baseMu.Unlock()
 	return append([]uint64(nil), s.base...)
@@ -237,11 +235,8 @@ func (s *Store) ExportFrames(from []uint64, fn func(f Frame) error) ([]uint64, e
 		return from, fmt.Errorf("store: export vector spans %d stripes, store has %d", len(from), n)
 	}
 	last := append([]uint64(nil), from...)
-	if s.lanes[0].log == nil {
-		if FramePosition(from, s.SeqVector()) != FrameDup {
-			return last, ErrExportGap
-		}
-		return last, nil
+	if s.dir == "" {
+		return last, errors.New("store: a memory-only store has no frames to export")
 	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -316,7 +311,7 @@ type barrierFunc func(stripeIdx int, seq uint64) error
 // and the sequence it holds there; fn returning an error surfaces from
 // Commit (conventionally ErrReplicationLag) without latching the store.
 // A nil fn removes the barrier. The replication leader installs one
-// when semi-synchronous mode is on.
+// for as long as it runs.
 func (s *Store) SetCommitBarrier(fn func(stripeIdx int, seq uint64) error) {
 	if fn == nil {
 		s.barrier.Store(nil)

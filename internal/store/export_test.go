@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
+
+	"opinions/internal/stripe"
 )
 
 func TestSubscribeFramesDeliversCommitsInOrder(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer s.Close()
 	commitN(t, s, 2)
 	sub := s.SubscribeFrames(16)
-	if got := sub.StartVec(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("StartVec = %v, want [2]", got)
+	if got, want := sub.StartVec(), commitNVec(2); !equalSeqs(got, want) {
+		t.Fatalf("StartVec = %v, want %v", got, want)
 	}
 	commitN2 := func(from, n int) {
 		for i := from; i < from+n; i++ {
@@ -26,10 +29,12 @@ func TestSubscribeFramesDeliversCommitsInOrder(t *testing.T) {
 		}
 	}
 	commitN2(0, 3)
-	for want := uint64(3); want <= 5; want++ {
+	x := stripe.Index("ent/x")
+	start := sub.StartVec()[x]
+	for want := start + 1; want <= start+3; want++ {
 		f := <-sub.C()
-		if f.Stripe != 0 || f.Seq != want {
-			t.Fatalf("frame (stripe %d, seq %d), want (0, %d)", f.Stripe, f.Seq, want)
+		if f.Stripe != x || f.Seq != want {
+			t.Fatalf("frame (stripe %d, seq %d), want (%d, %d)", f.Stripe, f.Seq, x, want)
 		}
 		if len(f.Payload) == 0 {
 			t.Fatalf("frame %d has empty payload", f.Seq)
@@ -41,16 +46,6 @@ func TestSubscribeFramesDeliversCommitsInOrder(t *testing.T) {
 	}
 	if sub.Lagged() {
 		t.Fatal("clean unsubscribe reported as lagged")
-	}
-}
-
-func TestSubscribeFramesMemoryOnlyStore(t *testing.T) {
-	s := mustOpen(t, Options{})
-	defer s.Close()
-	sub := s.SubscribeFrames(4)
-	commitN(t, s, 2)
-	if f := <-sub.C(); f.Seq != 1 || len(f.Payload) == 0 {
-		t.Fatalf("memory-only store did not publish frames: %+v", f)
 	}
 }
 
@@ -73,27 +68,28 @@ func TestSlowSubscriberIsDroppedNotBlocking(t *testing.T) {
 }
 
 func TestExportFramesRoundTrip(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer s.Close()
 	commitN(t, s, 6)
-	var seqs []uint64
-	last, err := s.ExportFrames([]uint64{2}, func(f Frame) error {
+	var got []Frame
+	from := commitNVec(2)
+	last, err := s.ExportFrames(from, func(f Frame) error {
 		if len(f.Payload) == 0 {
-			t.Fatalf("empty payload at %d", f.Seq)
+			t.Fatalf("empty payload at (%d, %d)", f.Stripe, f.Seq)
 		}
-		seqs = append(seqs, f.Seq)
+		got = append(got, Frame{Stripe: f.Stripe, Seq: f.Seq})
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("ExportFrames: %v", err)
 	}
-	if last[0] != 6 || len(seqs) != 4 || seqs[0] != 3 || seqs[3] != 6 {
-		t.Fatalf("exported %v (last %v), want 3..6", seqs, last)
+	if want := framesBetween(from, commitNVec(6)); !equalSeqs(last, commitNVec(6)) || len(want) != 4 || !slices.EqualFunc(got, want, samePosition) {
+		t.Fatalf("exported %v (last %v), want records 3..6 at %v", got, last, want)
 	}
 	// A second store fed the exported frames must converge exactly.
-	s2 := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	s2 := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer s2.Close()
-	if _, err := s.ExportFrames([]uint64{0}, func(f Frame) error {
+	if _, err := s.ExportFrames(make([]uint64, stripe.NumShards), func(f Frame) error {
 		return s2.CommitReplicated(f.Stripe, f.Seq, f.Payload)
 	}); err != nil {
 		t.Fatalf("replicating export: %v", err)
@@ -110,40 +106,51 @@ func TestExportFramesRoundTrip(t *testing.T) {
 }
 
 func TestExportFramesGapAfterCompaction(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer s.Close()
 	commitN(t, s, 4)
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if got := s.BaseVector(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("BaseVector = %v, want [4]", got)
+	base := commitNVec(4)
+	if got := s.BaseVector(); !equalSeqs(got, base) {
+		t.Fatalf("BaseVector = %v, want %v", got, base)
 	}
 	rec := uploadRec("post", "ent/x", 4.0, "post-key")
 	if err := s.Commit(rec); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	if _, err := s.ExportFrames([]uint64{1}, func(Frame) error { return nil }); !errors.Is(err, ErrExportGap) {
+	if _, err := s.ExportFrames(commitNVec(1), func(Frame) error { return nil }); !errors.Is(err, ErrExportGap) {
 		t.Fatalf("export across compaction = %v, want ErrExportGap", err)
 	}
-	last, err := s.ExportFrames([]uint64{4}, func(Frame) error { return nil })
-	if err != nil || last[0] != 5 {
-		t.Fatalf("export past base: last %v err %v, want [5] nil", last, err)
+	want := slices.Clone(base)
+	want[stripe.Index("ent/x")]++
+	last, err := s.ExportFrames(base, func(Frame) error { return nil })
+	if err != nil || !equalSeqs(last, want) {
+		t.Fatalf("export past base: last %v err %v, want %v nil", last, err, want)
 	}
 }
 
 func TestCommitReplicatedDupAndGap(t *testing.T) {
-	leader := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	leader := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer leader.Close()
-	follower := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	follower := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer follower.Close()
-	commitN(t, leader, 3)
+	// Three records on one entity hold sequences 1..3 of one stripe.
+	for i := 0; i < 3; i++ {
+		if err := leader.Commit(uploadRec(fmt.Sprintf("anon-%d", i), "ent/0", 4.0, fmt.Sprintf("key-%d", i))); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
 	var frames []Frame
-	if _, err := leader.ExportFrames([]uint64{0}, func(f Frame) error {
+	if _, err := leader.ExportFrames(make([]uint64, stripe.NumShards), func(f Frame) error {
 		frames = append(frames, f)
 		return nil
 	}); err != nil {
 		t.Fatalf("export: %v", err)
+	}
+	if len(frames) != 3 || frames[2].Stripe != frames[0].Stripe || frames[2].Seq != 3 {
+		t.Fatalf("exported %d frames, want sequences 1..3 of one stripe", len(frames))
 	}
 	if err := follower.CommitReplicated(frames[0].Stripe, frames[0].Seq, frames[0].Payload); err != nil {
 		t.Fatalf("apply 1: %v", err)
@@ -165,7 +172,7 @@ func TestCommitReplicatedDupAndGap(t *testing.T) {
 	if err := follower.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	re := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 1})
+	re := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 	defer re.Close()
 	if re.Seq() != 2 || re.Histories().Stats().Records != 2 {
 		t.Fatalf("reopened replica seq %d records %d, want 2/2", re.Seq(), re.Histories().Stats().Records)
@@ -173,12 +180,13 @@ func TestCommitReplicatedDupAndGap(t *testing.T) {
 }
 
 func TestCommitBarrierGatesAcks(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 1})
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer s.Close()
+	x := stripe.Index("ent/x")
 	var seen []uint64
-	s.SetCommitBarrier(func(stripe int, seq uint64) error {
-		if stripe != 0 {
-			t.Errorf("barrier stripe = %d, want 0", stripe)
+	s.SetCommitBarrier(func(stripeIdx int, seq uint64) error {
+		if stripeIdx != x {
+			t.Errorf("barrier stripe = %d, want %d", stripeIdx, x)
 		}
 		seen = append(seen, seq)
 		if seq >= 2 {
@@ -214,7 +222,7 @@ func TestCommitBarrierGatesAcks(t *testing.T) {
 // CommitReplicated rebuilds an identical store: same vector, same
 // state, every record delivered exactly once.
 func TestExportReplayMultiStripe(t *testing.T) {
-	src := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, Stripes: 4, CompactEvery: -1})
+	src := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer src.Close()
 	for i := 0; i < 12; i++ {
 		rec := uploadRec(fmt.Sprintf("mx-%d", i), fmt.Sprintf("ent/%d", i), 4.0, fmt.Sprintf("mx-key-%d", i))
@@ -232,10 +240,10 @@ func TestExportReplayMultiStripe(t *testing.T) {
 		}
 	}
 
-	dst := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, Stripes: 4, CompactEvery: -1})
+	dst := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer dst.Close()
 	frames := 0
-	last, err := src.ExportFrames(make([]uint64, 4), func(f Frame) error {
+	last, err := src.ExportFrames(make([]uint64, stripe.NumShards), func(f Frame) error {
 		frames++
 		return dst.CommitReplicated(f.Stripe, f.Seq, f.Payload)
 	})
@@ -258,7 +266,7 @@ func TestExportReplayMultiStripe(t *testing.T) {
 		t.Fatalf("sweep did not replay on the replica: ent/3 holds %d histories", len(got))
 	}
 	// Replaying the same stream again is a pile of no-ops, not a fork.
-	_, err = src.ExportFrames(make([]uint64, 4), func(f Frame) error {
+	_, err = src.ExportFrames(make([]uint64, stripe.NumShards), func(f Frame) error {
 		return dst.CommitReplicated(f.Stripe, f.Seq, f.Payload)
 	})
 	if err != nil {
@@ -304,7 +312,7 @@ func TestFramePosition(t *testing.T) {
 func TestReplicatedSweepsCommitLikeLocal(t *testing.T) {
 	const n = 4
 	sweeps := metricStoreCommits.With(string(KindSweep))
-	leader := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1, Stripes: 2})
+	leader := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer leader.Close()
 	sweeps0 := sweeps.Value()
 	for i := 0; i < n; i++ {
@@ -317,7 +325,7 @@ func TestReplicatedSweepsCommitLikeLocal(t *testing.T) {
 		t.Fatalf("leader: %d sweeps raised the sweep counter by %d", n, d)
 	}
 	var frames []Frame
-	if _, err := leader.ExportFrames(make([]uint64, 2), func(f Frame) error {
+	if _, err := leader.ExportFrames(make([]uint64, stripe.NumShards), func(f Frame) error {
 		frames = append(frames, f)
 		return nil
 	}); err != nil {
@@ -328,7 +336,7 @@ func TestReplicatedSweepsCommitLikeLocal(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	follower := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: 2, Stripes: 2})
+	follower := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: 2})
 	sweeps0, replicated0 := sweeps.Value(), metricStoreReplicated.Value()
 	for _, f := range frames {
 		if err := follower.CommitReplicated(f.Stripe, f.Seq, f.Payload); err != nil {
@@ -352,7 +360,7 @@ func TestReplicatedSweepsCommitLikeLocal(t *testing.T) {
 	if err := follower.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	re := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 2})
+	re := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 	defer re.Close()
 	if !equalSeqs(re.SeqVector(), leader.SeqVector()) {
 		t.Fatalf("reopened follower at %v, leader at %v", re.SeqVector(), leader.SeqVector())

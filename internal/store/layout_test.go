@@ -16,6 +16,7 @@ import (
 	"opinions/internal/interaction"
 	"opinions/internal/simclock"
 	"opinions/internal/storage"
+	"opinions/internal/stripe"
 )
 
 func quietLog() *slog.Logger {
@@ -61,8 +62,8 @@ func writeLegacySegment(t *testing.T, dir string, gen int) string {
 	return path
 }
 
-func openQuiet(dir string, stripes int) (*Store, error) {
-	return Open(Options{Dir: dir, NoSync: true, Stripes: stripes, CompactEvery: -1, Clock: simclock.NewSim(simclock.Epoch), Logger: quietLog()})
+func openQuiet(dir string) (*Store, error) {
+	return Open(Options{Dir: dir, NoSync: true, CompactEvery: -1, Clock: simclock.NewSim(simclock.Epoch), Logger: quietLog()})
 }
 
 // TestOpenRefusesOldFormats: state written by earlier releases — a
@@ -91,7 +92,7 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 			return writeLegacySegment(t, dir, 1)
 		}},
 		{"legacy segment beside striped segments", func(t *testing.T, dir string) {
-			s := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 2, CompactEvery: -1})
+			s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 			if err := s.Commit(migrationUpload(0)); err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 			return path
 		}},
 		{"legacy segment beside v5 snapshot", func(t *testing.T, dir string) {
-			s := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 2, CompactEvery: -1})
+			s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 			if err := s.Commit(migrationUpload(0)); err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +135,7 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 				tc.current(t, dir)
 			}
 			path := tc.old(t, dir)
-			s, err := openQuiet(dir, 2)
+			s, err := openQuiet(dir)
 			if err == nil {
 				s.Close()
 				t.Fatalf("Open started with %s in the directory", path)
@@ -202,7 +203,7 @@ func TestOpenRefusesDamagedSnapshot(t *testing.T) {
 			if err := os.WriteFile(path, fn(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			r, err := openQuiet(dir, 0)
+			r, err := openQuiet(dir)
 			if err == nil {
 				r.Close()
 				t.Fatal("Open accepted a damaged snapshot")
@@ -214,46 +215,63 @@ func TestOpenRefusesDamagedSnapshot(t *testing.T) {
 	}
 }
 
-// TestStripeWidthShrinkRefusedWithSegments: segments exist for stripe
-// 3 but the store is reopened at width 2 — refusing beats silently
-// orphaning a lane's records.
-func TestStripeWidthShrinkRefusedWithSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 4, CompactEvery: -1})
-	s.Close()
-	if _, err := Open(Options{Dir: dir, NoSync: true, Stripes: 2, Clock: simclock.NewSim(simclock.Epoch), Logger: quietLog()}); err == nil {
-		t.Fatal("open accepted a width shrink with wider segments on disk")
+// TestOtherStripeWidthsRefused: every release runs stripe.NumShards
+// commit lanes, so state from any other width — a segment for a stripe
+// past the last, a snapshot vector of another length at Open or handed
+// to Restore — is refused with an error naming both widths.
+func TestOtherStripeWidthsRefused(t *testing.T) {
+	wider := fmt.Sprint(stripe.NumShards + 1)
+	cases := []struct {
+		name string
+		// refuse makes dir hold, or hands the store, the other width's
+		// state and returns the refusal.
+		refuse func(t *testing.T, dir string) error
+		// want are substrings the refusal must contain.
+		want []string
+	}{
+		{"segment for stripe 64 at Open", func(t *testing.T, dir string) error {
+			if err := os.WriteFile(segmentPath(dir, stripe.NumShards, 1), []byte(segMagic), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := openQuiet(dir)
+			return err
+		}, []string{segmentPath("", stripe.NumShards, 1), wider, "runs 64"}},
+		{"snapshot of 4 stripes at Open", func(t *testing.T, dir string) error {
+			snap := &storage.Snapshot{SavedAt: simclock.Epoch, WALSeqs: []uint64{1, 2, 3, 4}}
+			if err := storage.SaveFile(filepath.Join(dir, snapshotFile), snap); err != nil {
+				t.Fatal(err)
+			}
+			_, err := openQuiet(dir)
+			return err
+		}, []string{"spans 4 commit stripes", "runs 64", snapshotFile}},
+		{"snapshot of 4 stripes to Restore", func(t *testing.T, dir string) error {
+			s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
+			defer s.Close()
+			commitN(t, s, 3)
+			snap := s.Snapshot()
+			snap.WALSeqs = snap.WALSeqs[:4]
+			err := s.Restore(snap)
+			// The refusal leaves the store as it was, and usable.
+			if got := s.Seq(); got != 3 || s.Failed() {
+				t.Fatalf("after the refused Restore: seq %d, failed %v; want 3, false", got, s.Failed())
+			}
+			if err := s.Commit(uploadRec("post", "ent/0", 4, "post-key")); err != nil {
+				t.Fatalf("commit after the refused Restore: %v", err)
+			}
+			return err
+		}, []string{"spans 4 commit stripes", "runs 64"}},
 	}
-}
-
-// TestStripeWidthChangeAfterCompaction: compacting at the old width
-// retires all segments, after which a different stripe count is
-// legal — every lane restarts at the old vector's maximum.
-func TestStripeWidthChangeAfterCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 2})
-	for i := 0; i < 3; i++ {
-		if err := s.Commit(migrationUpload(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	want := maxSeq(s.SeqVector())
-	s.Close()
-
-	s2 := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 4})
-	defer s2.Close()
-	for i, seq := range s2.SeqVector() {
-		if seq != want {
-			t.Fatalf("stripe %d baseline after width change = %d, want %d", i, seq, want)
-		}
-	}
-	if got := s2.Histories().Stats().Records; got != 3 {
-		t.Fatalf("records after width change = %d, want 3", got)
-	}
-	if err := s2.Commit(migrationUpload(5)); err != nil {
-		t.Fatalf("commit after width change: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.refuse(t, t.TempDir())
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("refusal %q does not contain %q", err, w)
+				}
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ type Ledger struct {
 	inflight map[string]struct{}
 }
 
-// DefaultDedupCapacity bounds the ledger when Options leave it zero.
+// DefaultDedupCapacity bounds the store's ledger.
 const DefaultDedupCapacity = 1 << 16
 
 // NewLedger returns an empty ledger holding at most capacity keys

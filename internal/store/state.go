@@ -31,12 +31,12 @@ type state struct {
 	models    *inference.ModelSet
 }
 
-func newState(dedupCapacity int) *state {
+func newState() *state {
 	return &state{
 		reviews:   reviews.NewStore(),
 		opinions:  aggregate.NewOpinionStore(),
 		histories: history.NewServerStore(),
-		ledger:    NewLedger(dedupCapacity),
+		ledger:    NewLedger(DefaultDedupCapacity),
 	}
 }
 
@@ -139,9 +139,6 @@ func (st *state) dump(now time.Time) *storage.Snapshot {
 
 // restore replaces the state with the snapshot's contents.
 func (st *state) restore(snap *storage.Snapshot) error {
-	if snap == nil {
-		return errors.New("store: nil snapshot")
-	}
 	if len(snap.TrainX) != len(snap.TrainY) || len(snap.TrainCats) != len(snap.TrainY) {
 		return fmt.Errorf("store: snapshot holds %d training rows, %d ratings and %d categories",
 			len(snap.TrainX), len(snap.TrainY), len(snap.TrainCats))

@@ -62,11 +62,6 @@ var ErrUnavailable = errors.New("store: durability unavailable; mutations refuse
 // leave it zero: fold the WALs into a snapshot every this many records.
 const DefaultCompactEvery = 4096
 
-// maxStripes bounds the configurable commit-stripe count: beyond this
-// the per-lane fixed overhead (file handles, syncer goroutines)
-// outweighs any remaining fsync parallelism.
-const maxStripes = 1024
-
 // snapshotFile is the snapshot's name inside the WAL directory.
 const snapshotFile = "snapshot"
 
@@ -74,22 +69,16 @@ const snapshotFile = "snapshot"
 // their gzip-JSON snapshot.
 const legacySnapshotFile = "snapshot.gz"
 
-// Options configures a Store.
+// Options configures a Store. The commit pipeline always runs
+// stripe.NumShards lanes, one per read stripe, and the exactly-once
+// ledger always holds DefaultDedupCapacity keys.
 type Options struct {
 	// Dir is the durability directory (snapshot + WAL segments). Empty
-	// runs the store memory-only: same commit interface, no log.
+	// runs the store memory-only: same commit interface, no log, and
+	// nothing to replicate.
 	Dir string
-	// Stripes is the commit-stripe count: each stripe owns a WAL segment
-	// family, a sequence space, and a group-commit syncer. 0 means
-	// stripe.NumShards (matching the read stripes). Changing the count
-	// on an existing directory is safest after a clean shutdown with a
-	// final compaction; recovery refuses layouts it cannot interpret
-	// unambiguously.
-	Stripes int
 	// Clock stamps snapshots; defaults to the real clock.
 	Clock simclock.Clock
-	// DedupCapacity bounds the exactly-once ledger (default 65536).
-	DedupCapacity int
 	// CompactEvery triggers background compaction after this many
 	// committed records (default DefaultCompactEvery; negative disables
 	// auto-compaction — explicit Compact calls still work).
@@ -254,20 +243,13 @@ func Open(opts Options) (*Store, error) {
 	if compactEvery < 0 {
 		compactEvery = 0
 	}
-	nstripes := opts.Stripes
-	if nstripes == 0 {
-		nstripes = stripe.NumShards
-	}
-	if nstripes < 1 || nstripes > maxStripes {
-		return nil, fmt.Errorf("store: commit stripes %d outside [1, %d]", opts.Stripes, maxStripes)
-	}
 	s := &Store{
 		clock:        clock,
 		logger:       logger,
 		dir:          opts.Dir,
 		compactEvery: compactEvery,
-		state:        newState(opts.DedupCapacity),
-		lanes:        make([]*lane, nstripes),
+		state:        newState(),
+		lanes:        make([]*lane, stripe.NumShards),
 	}
 	for i := range s.lanes {
 		s.lanes[i] = &lane{}
@@ -282,16 +264,22 @@ func Open(opts Options) (*Store, error) {
 	if err := prepareDir(opts.Dir, logger); err != nil {
 		return nil, err
 	}
-	var snapVec []uint64
+	// Baselines: where each stripe's on-disk frames chain from (zero
+	// without a snapshot).
+	nstripes := len(s.lanes)
+	base := make([]uint64, nstripes)
 	if _, err := os.Stat(s.snapPath); err == nil {
 		snap, err := storage.LoadFile(s.snapPath)
 		if err != nil {
 			return nil, fmt.Errorf("store: loading snapshot: %w", err)
 		}
+		if err := checkWidth(snap.WALSeqs); err != nil {
+			return nil, fmt.Errorf("%w; refusing to start from %s", err, s.snapPath)
+		}
 		if err := s.state.restore(snap); err != nil {
 			return nil, err
 		}
-		snapVec = snap.WALSeqs
+		copy(base, snap.WALSeqs)
 	}
 
 	segs, err := listSegments(opts.Dir)
@@ -301,24 +289,10 @@ func Open(opts Options) (*Store, error) {
 	striped := make([][]segmentInfo, nstripes)
 	for _, seg := range segs {
 		if seg.stripe >= nstripes {
-			return nil, fmt.Errorf("store: WAL segments exist for stripe %d but the store was opened with %d stripes; reopen with at least %d stripes, or compact at the previous width before shrinking",
-				seg.stripe, nstripes, seg.stripe+1)
+			return nil, fmt.Errorf("store: %s is a WAL segment for stripe %d, written at a width of at least %d commit stripes, but this build runs %d; refusing to start without the records it holds",
+				seg.path, seg.stripe, seg.stripe+1, nstripes)
 		}
 		striped[seg.stripe] = append(striped[seg.stripe], seg)
-	}
-
-	// Baselines: where each stripe's on-disk frames chain from (zero
-	// without a snapshot). foldLimit guards stripe-geometry changes —
-	// with an unchanged geometry it equals the baseline and is inert;
-	// after a width change every lane restarts at the old vector's
-	// maximum, and any surviving frame from the old geometry in between
-	// is refused rather than silently treated as folded.
-	base := s.adoptVector(snapVec)
-	foldLimit := make([]uint64, nstripes)
-	copy(foldLimit, snapVec)
-	if len(snapVec) > 0 && len(snapVec) != nstripes {
-		logger.Warn("wal: commit-stripe geometry changed",
-			"snapshot_stripes", len(snapVec), "stripes", nstripes)
 	}
 
 	// Each stripe's records apply in its own log order, concurrently
@@ -333,7 +307,7 @@ func Open(opts Options) (*Store, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			end[i], maxGens[i], errs[i] = s.replayLane(i, striped[i], base[i], foldLimit[i])
+			end[i], maxGens[i], errs[i] = s.replayLane(i, striped[i], base[i])
 		}(i)
 	}
 	wg.Wait()
@@ -360,6 +334,17 @@ func Open(opts Options) (*Store, error) {
 			"stripes", nstripes, "replayed", replayed, "segments", len(segs))
 	}
 	return s, nil
+}
+
+// checkWidth refuses a snapshot sequence vector that does not span
+// stripe.NumShards commit stripes. Every release has run exactly that
+// many lanes, so another length is not a state this build can map onto
+// its own.
+func checkWidth(vec []uint64) error {
+	if len(vec) != stripe.NumShards {
+		return fmt.Errorf("store: snapshot sequence vector spans %d commit stripes, but this build runs %d", len(vec), stripe.NumShards)
+	}
+	return nil
 }
 
 // prepareDir readies a WAL directory for recovery. It refuses a
@@ -428,17 +413,13 @@ func repairTorn(seg segmentInfo, validLen int64, final bool, logger *slog.Logger
 // replayLane recovers one stripe: it applies every intact frame past
 // base in log order, enforcing contiguity and repairing torn tails per
 // the single-stream rules, and returns the stripe's last sequence and
-// its newest segment generation. foldLimit catches frames stranded by
-// a stripe-geometry change (see Open).
-func (s *Store) replayLane(laneIdx int, segs []segmentInfo, base, foldLimit uint64) (uint64, int, error) {
+// its newest segment generation.
+func (s *Store) replayLane(laneIdx int, segs []segmentInfo, base uint64) (uint64, int, error) {
 	last, maxGen := base, 0
 	for i, seg := range segs {
 		maxGen = max(maxGen, seg.gen)
 		validLen, torn, err := replaySegment(seg.path, func(seq uint64, payload []byte) error {
 			if seq <= base {
-				if seq > foldLimit {
-					return fmt.Errorf("store: stripe %d record %d in %s predates the adopted stripe geometry; compact at the previous width before changing the stripe count", laneIdx, seq, seg.path)
-				}
 				return nil // already folded into the snapshot
 			}
 			if seq != last+1 {
@@ -479,24 +460,24 @@ func (s *Store) replayLane(laneIdx int, segs []segmentInfo, base, foldLimit uint
 }
 
 // route maps a record to its commit stripe. Uploads, sweeps and
-// reviews route by entity key — the same key the read stores stripe
-// on, so one entity's mutation order is total within its stripe.
+// reviews route by entity key through stripe.Index, so commit lane i
+// serializes exactly the entities of read stripe i and one entity's
+// mutation order is total within its stripe.
 // Training pairs and retrains share stripe 0: a retrain reads only the
 // pairs, and its floating-point accumulation is sensitive to their
 // order, so one stripe fixes exactly which pairs, in which order, each
 // retrain sees, across live commits and parallel replay.
 func (s *Store) route(rec *Record) int {
-	n := len(s.lanes)
 	switch rec.Kind {
 	case KindReview:
 		if rec.Review != nil {
-			return stripe.IndexN(rec.Review.Entity, n)
+			return stripe.Index(rec.Review.Entity)
 		}
 		return 0
 	case KindTrainPair, KindRetrain:
 		return 0
 	default:
-		return stripe.IndexN(rec.Entity, n)
+		return stripe.Index(rec.Entity)
 	}
 }
 
@@ -520,7 +501,7 @@ func (s *Store) Commit(rec *Record) error {
 	}
 	idx := s.route(rec)
 	var payload []byte
-	if s.lanes[idx].log != nil || s.nsubs.Load() > 0 {
+	if s.lanes[idx].log != nil {
 		var err error
 		payload, err = json.Marshal(rec)
 		if err != nil {
@@ -556,12 +537,6 @@ func (s *Store) commitLane(idx int, at uint64, rec *Record, payload []byte) erro
 			return nil
 		}
 	}
-	if payload == nil && s.nsubs.Load() > 0 {
-		// A subscriber attached between the marshal check and the lock.
-		// Seq carries json:"-", so marshalling before it is set yields
-		// the same bytes the log path would have written.
-		payload, _ = json.Marshal(rec)
-	}
 	rec.Seq = cur + 1
 	if err := s.state.apply(rec); err != nil {
 		ln.mu.Unlock()
@@ -582,8 +557,6 @@ func (s *Store) commitLane(idx int, at uint64, rec *Record, payload []byte) erro
 		ln.met.appends.Inc()
 		ln.met.appendBytes.Add(uint64(frameHeaderLen + len(payload)))
 		ln.met.segmentBytes.Set(size)
-	}
-	if payload != nil {
 		s.publish(Frame{Stripe: idx, Seq: rec.Seq, Payload: payload})
 	}
 	ln.mu.Unlock()
@@ -711,6 +684,12 @@ func (s *Store) Snapshot() *storage.Snapshot {
 // (pre-restore) disagree, and only a restart re-derives a consistent
 // state.
 func (s *Store) Restore(snap *storage.Snapshot) error {
+	if snap == nil {
+		return errors.New("store: nil snapshot")
+	}
+	if err := checkWidth(snap.WALSeqs); err != nil {
+		return err
+	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.lockAll()
@@ -730,16 +709,14 @@ func (s *Store) Restore(snap *storage.Snapshot) error {
 	if err := s.state.restore(snap); err != nil {
 		return err
 	}
-	want := s.adoptVector(snap.WALSeqs)
 	for i, ln := range s.lanes {
-		if want[i] > ln.seq.Load() {
-			ln.seq.Store(want[i])
+		if snap.WALSeqs[i] > ln.seq.Load() {
+			ln.seq.Store(snap.WALSeqs[i])
 		}
 	}
 	snap.WALSeqs = s.SeqVector()
 	s.sinceCompact.Store(0)
 	if !hasLog {
-		s.dropSubs(true)
 		s.notifyRestore()
 		return nil
 	}
@@ -759,23 +736,6 @@ func (s *Store) Restore(snap *storage.Snapshot) error {
 	s.dropSubs(true)
 	s.notifyRestore()
 	return nil
-}
-
-// adoptVector maps a snapshot's sequence vector onto this store's
-// stripe geometry: a matching vector is taken as-is, a mismatched one
-// collapses to its maximum in every lane, and an absent one is zero.
-func (s *Store) adoptVector(vec []uint64) []uint64 {
-	out := make([]uint64, len(s.lanes))
-	switch {
-	case len(vec) == len(out):
-		copy(out, vec)
-	case len(vec) > 0:
-		m := slices.Max(vec)
-		for i := range out {
-			out[i] = m
-		}
-	}
-	return out
 }
 
 // Compact folds everything committed so far into the snapshot file and

@@ -18,6 +18,7 @@ import (
 	"opinions/internal/interaction"
 	"opinions/internal/reviews"
 	"opinions/internal/simclock"
+	"opinions/internal/stripe"
 )
 
 // uploadRec builds a KindUpload record: one visit plus an inferred
@@ -47,7 +48,31 @@ func mustOpen(t *testing.T, opts Options) *Store {
 
 func equalSeqs(a, b []uint64) bool { return slices.Equal(a, b) }
 
-func maxSeq(v []uint64) uint64 { return slices.Max(v) }
+// commitNVec is the sequence vector a fresh store holds after
+// commitN(n): each record counts in its entity's lane.
+func commitNVec(n int) []uint64 {
+	v := make([]uint64, stripe.NumShards)
+	for i := 0; i < n; i++ {
+		v[stripe.Index(fmt.Sprintf("ent/%d", i%3))]++
+	}
+	return v
+}
+
+// framesBetween lists the frame positions strictly above from and up
+// to to, stripe by stripe and in sequence order within a stripe — the
+// order ExportFrames delivers them in.
+func framesBetween(from, to []uint64) []Frame {
+	var out []Frame
+	for i := range to {
+		for seq := from[i] + 1; seq <= to[i]; seq++ {
+			out = append(out, Frame{Stripe: i, Seq: seq})
+		}
+	}
+	return out
+}
+
+// samePosition compares frames by stripe and sequence, not payload.
+func samePosition(a, b Frame) bool { return a.Stripe == b.Stripe && a.Seq == b.Seq }
 
 // sumStripeCounter totals a per-stripe counter family over n stripes.
 func sumStripeCounter(v interface {
@@ -222,16 +247,13 @@ func TestAutoCompaction(t *testing.T) {
 // crash artifact — must be truncated away on recovery, not fatal.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 1})
+	s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 	commitN(t, s, 3)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments = %v, %v", segs, err)
-	}
-	last := segs[len(segs)-1].path
+	// The newest segment of a stripe that holds a record.
+	last := segmentPath(dir, stripe.Index("ent/2"), 1)
 	intact, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +271,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Close()
 
 	before := metricWALTornTails.Value()
-	r := mustOpen(t, Options{Dir: dir, NoSync: true, Stripes: 1})
+	r := mustOpen(t, Options{Dir: dir, NoSync: true})
 	defer r.Close()
 	if got := r.Seq(); got != 3 {
 		t.Fatalf("seq = %d, want 3", got)
@@ -266,11 +288,12 @@ func TestTornTailTruncated(t *testing.T) {
 // is lost data, not a crash artifact — recovery must refuse.
 func TestCorruptMidLogFatal(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 1})
+	s := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 	commitN(t, s, 2)
 	s.Close()
-	// Reopen rolls a second segment; more commits land there.
-	s2 := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1, Stripes: 1})
+	// Reopen rolls a second segment per stripe; more commits land in
+	// ent/1's.
+	s2 := mustOpen(t, Options{Dir: dir, NoSync: true, CompactEvery: -1})
 	for i := 0; i < 2; i++ {
 		if err := s2.Commit(uploadRec(fmt.Sprintf("b-%d", i), "ent/1", 3, fmt.Sprintf("bk-%d", i))); err != nil {
 			t.Fatal(err)
@@ -284,7 +307,7 @@ func TestCorruptMidLogFatal(t *testing.T) {
 	}
 	var withRecords []segmentInfo
 	for _, seg := range segs {
-		if fi, _ := os.Stat(seg.path); fi.Size() > int64(len(segMagic)) {
+		if fi, _ := os.Stat(seg.path); seg.stripe == stripe.Index("ent/1") && fi.Size() > int64(len(segMagic)) {
 			withRecords = append(withRecords, seg)
 		}
 	}
@@ -298,7 +321,7 @@ func TestCorruptMidLogFatal(t *testing.T) {
 	f.Write([]byte("garbage mid-log"))
 	f.Close()
 
-	if _, err := Open(Options{Dir: dir, NoSync: true, Stripes: 1, Clock: simclock.NewSim(simclock.Epoch)}); err == nil {
+	if _, err := Open(Options{Dir: dir, NoSync: true, Clock: simclock.NewSim(simclock.Epoch)}); err == nil {
 		t.Fatal("recovery accepted a corrupt record before the final segment")
 	}
 }
@@ -427,11 +450,12 @@ func TestCrashMidAppendLatches(t *testing.T) {
 		// through.
 		return faultinject.NewCrashFile(f, 3), nil
 	}
-	s := mustOpen(t, Options{Dir: dir, CompactEvery: -1, OpenFile: openCrash, Stripes: 1})
+	// Both records go to ent/0, so to one stripe's segment.
+	s := mustOpen(t, Options{Dir: dir, CompactEvery: -1, OpenFile: openCrash})
 	if err := s.Commit(uploadRec("a", "ent/0", 4, "k-0")); err != nil {
 		t.Fatalf("pre-crash commit: %v", err)
 	}
-	err := s.Commit(uploadRec("b", "ent/1", 3, "k-1"))
+	err := s.Commit(uploadRec("b", "ent/0", 3, "k-1"))
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("torn append returned %v, want ErrUnavailable", err)
 	}
@@ -444,7 +468,7 @@ func TestCrashMidAppendLatches(t *testing.T) {
 
 	// Unclean kill: abandon without Close, recover from disk.
 	before := metricWALTornTails.Value()
-	r := mustOpen(t, Options{Dir: dir, Stripes: 1})
+	r := mustOpen(t, Options{Dir: dir})
 	defer r.Close()
 	if got := r.Seq(); got != 1 {
 		t.Fatalf("recovered seq = %d, want 1 (only the acknowledged record)", got)
@@ -459,7 +483,7 @@ func TestCrashMidAppendLatches(t *testing.T) {
 	if metricWALTornTails.Value() != before+1 {
 		t.Fatal("torn tail not detected during recovery")
 	}
-	if err := r.Commit(uploadRec("b", "ent/1", 3, "k-1")); err != nil {
+	if err := r.Commit(uploadRec("b", "ent/0", 3, "k-1")); err != nil {
 		t.Fatalf("retry against recovered store: %v", err)
 	}
 }
@@ -692,7 +716,7 @@ func TestRetrainDoesNotWaitOnOtherLanes(t *testing.T) {
 	var armed atomic.Bool
 	release := make(chan struct{})
 	stalled := segmentPath(dir, 1, 1)
-	s := mustOpen(t, Options{Dir: dir, Stripes: 2, CompactEvery: -1, OpenFile: func(path string) (File, error) {
+	s := mustOpen(t, Options{Dir: dir, CompactEvery: -1, OpenFile: func(path string) (File, error) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err != nil || path != stalled {
 			return f, err
@@ -729,7 +753,7 @@ func TestRetrainDoesNotWaitOnOtherLanes(t *testing.T) {
 // name the entity they are on — a record without one is refused before
 // anything is applied or logged, while an empty sweep still commits.
 func TestSweepRecordNeedsEntity(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, Stripes: 4, CompactEvery: -1})
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, CompactEvery: -1})
 	defer s.Close()
 	commitN(t, s, 3)
 	if err := s.Commit(&Record{Kind: KindSweep, Dropped: []string{"anon-0"}}); err == nil {

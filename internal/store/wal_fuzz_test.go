@@ -29,12 +29,12 @@ func scanBytes(t *testing.T, path string, data []byte) ([]scannedRecord, int64, 
 	return got, validLen, torn, err
 }
 
-// realSegment commits three small uploads through a one-stripe store
-// and returns the bytes of the segment it wrote.
+// realSegment commits three small uploads, all on one entity and so on
+// one stripe, and returns the bytes of the segment they went to.
 func realSegment(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	s, err := Open(Options{Dir: dir, Stripes: 1, CompactEvery: -1, NoSync: true})
+	s, err := Open(Options{Dir: dir, CompactEvery: -1, NoSync: true})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -9,13 +9,12 @@
 //
 // The hash is FNV-1a over the key; every consumer selects a shard
 // through this package so read stores and the commit pipeline agree on
-// one routing function (geometries may differ — the read stores are
-// fixed at NumShards, the commit pipeline is configurable — but a key
-// always hashes the same way).
+// one routing function. Both run NumShards wide, so a key's commit
+// lane is its read stripe.
 package stripe
 
 // NumShards is the stripe width shared by all striped read stores and
-// the default commit-stripe count. 64 is comfortably above the
+// the commit pipeline's lanes. 64 is comfortably above the
 // server's max-in-flight default (256 requests over 64 stripes keeps
 // expected queue depth per stripe low) while keeping per-store fixed
 // overhead at a few KB.

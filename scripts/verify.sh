@@ -44,6 +44,11 @@ go test -C bench .
 echo "==> commit-pipeline benchmark smoke (1 iteration)"
 go test -run '^$' -bench=Commit -benchtime=1x ./internal/store/...
 
+# A leader and a follower over loopback TCP, each commit acknowledged
+# through the semi-synchronous barrier.
+echo "==> replication benchmark smoke (1 iteration)"
+go test -run '^$' -bench ReplicatedCommit -benchtime 1x ./internal/replication
+
 # The read-path benchmarks (BenchmarkDescribeHotEntity among them) are
 # run once each so they keep compiling and running.
 echo "==> read-path benchmark smoke (1 iteration)"
